@@ -7,7 +7,7 @@ from .aladdin import (
     AladdinResult,
     FU_LIBRARY,
 )
-from .cgra import CGRAScheduler, ScheduledOp, ScheduleResult
+from .cgra import CGRAScheduler, CyclicFrameError, ScheduledOp, ScheduleResult
 from .invocation import (
     HistoryPredictor,
     OraclePredictor,
@@ -29,6 +29,7 @@ __all__ = [
     "FU_LIBRARY",
     "CGRAScheduler",
     "CYCLONE_V_ALMS",
+    "CyclicFrameError",
     "HLSEstimator",
     "HLSReport",
     "HistoryPredictor",

@@ -21,6 +21,10 @@ from ..ir.values import Value
 from ..sim.config import CGRAConfig
 
 
+class CyclicFrameError(RuntimeError):
+    """A frame's dependence graph has a cycle, so it cannot be scheduled."""
+
+
 @dataclass
 class ScheduledOp:
     """Placement of one frame op."""
@@ -197,45 +201,63 @@ class CGRAScheduler:
         For each (entry φ, back-edge def) pair: the longest dependence path
         from an op consuming the φ to the op producing the def bounds how
         fast consecutive iterations can be initiated.
+
+        Op latencies, backward dependence lists and the φs each op consumes
+        are derived once for all pairs.  A pair's longest-path sweep runs
+        only from the φ's first consumer to the def: only back edges
+        ``j < i`` feed it, so nothing before the first consumer or after
+        the def can change the def's distance.
         """
+        if not loop_carried:
+            return 1
+        ops = frame.ops
         producer: Dict[object, int] = {}
-        for i, fop in enumerate(frame.ops):
+        for i, fop in enumerate(ops):
             if fop.kind == "op" and fop.inst is not None and not fop.inst.type.is_void:
                 producer[fop.inst] = i
             elif fop.kind == "psi":
                 producer[fop.psi.phi] = i
 
+        # id(chased φ-operand terminal) -> indices of the ops consuming it
+        consumers: Dict[int, List[int]] = {}
+        for i, fop in enumerate(ops):
+            if fop.kind == "op" and fop.inst is not None:
+                operands = fop.inst.operands
+            elif fop.kind == "psi":
+                operands = [v for _, v in fop.psi.options]
+            elif fop.kind == "guard":
+                operands = [fop.guard.branch.cond]
+            else:
+                continue
+            for operand in operands:
+                if isinstance(operand, Phi):
+                    users = consumers.setdefault(
+                        id(self._chase(frame, operand)), []
+                    )
+                    if not users or users[-1] != i:
+                        users.append(i)
+
+        latency = [self._latency(fop) for fop in ops]
+        back = [[j for j in d if j < i] for i, d in enumerate(deps)]
+        neg = float("-inf")
         worst = 1
         for phi, def_value in loop_carried:
             def_chased = self._chase(frame, def_value)
             if isinstance(def_chased, PsiOp):
                 def_chased = def_chased.phi
             def_idx = producer.get(def_chased)
-            if def_idx is None:
+            users = consumers.get(id(phi))
+            if def_idx is None or not users or users[0] > def_idx:
                 continue
-            dist: List[float] = [float("-inf")] * len(frame.ops)
-            for i, fop in enumerate(frame.ops):
-                consumes = False
-                if fop.kind == "op" and fop.inst is not None:
-                    operands = fop.inst.operands
-                elif fop.kind == "psi":
-                    operands = [v for _, v in fop.psi.options]
-                elif fop.kind == "guard":
-                    operands = [fop.guard.branch.cond]
-                else:
-                    operands = []
-                for operand in operands:
-                    if self._chase(frame, operand) is phi:
-                        consumes = True
-                        break
-                base = self._latency(fop) if consumes else float("-inf")
-                carried = max(
-                    (dist[j] for j in deps[i] if j < i), default=float("-inf")
-                )
-                if carried != float("-inf"):
-                    carried += self._latency(fop)
-                dist[i] = max(base, carried)
-            if dist[def_idx] != float("-inf"):
+            consuming = set(users)
+            dist: List[float] = [neg] * (def_idx + 1)
+            for i in range(users[0], def_idx + 1):
+                carried = max((dist[j] for j in back[i]), default=neg)
+                if carried != neg:
+                    dist[i] = carried + latency[i]
+                elif i in consuming:
+                    dist[i] = latency[i]
+            if dist[def_idx] != neg:
                 worst = max(worst, int(dist[def_idx]))
         return worst
 
@@ -320,7 +342,7 @@ class CGRAScheduler:
                 else:
                     result.int_ops += 1
             if not progressed:
-                raise RuntimeError("cyclic frame dependence graph")
+                raise CyclicFrameError("cyclic frame dependence graph")
 
         result.guard_ops = guard_count
         result.edges = sum(len(d) for d in deps)

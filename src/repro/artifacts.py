@@ -62,6 +62,7 @@ EVALUATION_KIND = "evaluation"
 #: sub-simulation tables persisted by the simulation memo (repro.sim.memo)
 CALIBRATION_KIND = "calibration"
 PATH_COSTS_KIND = "pathcosts"
+RECURRENCE_KIND = "recurrence"
 #: completed-evaluation payloads referenced by the crash-safe run journal
 #: (repro.resilience.journal)
 JOURNAL_KIND = "journal"
@@ -220,7 +221,8 @@ class ArtifactCache:
         """Delete every stored artifact; returns the number removed."""
         removed = 0
         for kind in (PROFILE_KIND, EVALUATION_KIND,
-                     CALIBRATION_KIND, PATH_COSTS_KIND, JOURNAL_KIND):
+                     CALIBRATION_KIND, PATH_COSTS_KIND, RECURRENCE_KIND,
+                     JOURNAL_KIND):
             base = os.path.join(self.root, kind)
             for dirpath, _dirs, files in os.walk(base):
                 for name in files:
@@ -248,6 +250,7 @@ __all__ = [
     "JOURNAL_KIND",
     "PATH_COSTS_KIND",
     "PROFILE_KIND",
+    "RECURRENCE_KIND",
     "ArtifactCache",
     "config_fingerprint",
     "default_cache_dir",

@@ -17,14 +17,19 @@ Two keying tiers:
   tables are keyed by (artifact key, relevant config slice) and written
   through to the :class:`~repro.artifacts.ArtifactCache`.  The config
   slice is deliberately narrow: calibration keys only the memory
-  hierarchy, path costs only the host core + load latency — which is what
-  lets a CGRA design-space sweep reuse both.  Write-through also means a
+  hierarchy, path costs only the host core + load latency, and the braid
+  recurrence (``"recurrence"``: frequency-weighted constituent-path
+  recurrence II) only the constituent paths + the CGRA's rounded
+  load/store latencies — which is what lets a CGRA or host design-space
+  sweep reuse them.  Write-through also means a
   workload retried by :func:`~repro.resilience.runner.run_failsafe`
   (possibly in a fresh worker process) reuses the calibration its failed
   attempt already computed.
 * **identity keys** — with no artifact cache the memo falls back to
   keying by object identity (the trace / profile / frame instance), which
-  still gives full cross-strategy sharing within a pipeline.  The
+  still gives full cross-strategy sharing within a pipeline.  CGRA
+  schedules (``"schedule"``) and RLE views (``"rle"``) are always
+  identity-keyed.  The
   vectorized OOO walk keeps two identity-only tables of its own, both
   anchored on the profile: ``"ooo_columns"`` (compiled
   :class:`~repro.sim.ooo_columns.CompiledPath` programs, keyed by the
@@ -82,7 +87,8 @@ def content_key(*parts) -> str:
 
 
 class SimulationMemo:
-    """Get-or-compute tables for calibration, path costs and schedules."""
+    """Get-or-compute tables for calibration, path costs, recurrences and
+    schedules."""
 
     def __init__(self, cache=None):
         #: optional ArtifactCache backing the content-keyed tables

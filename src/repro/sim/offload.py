@@ -23,10 +23,11 @@ single simulated number:
   (``trace_kernels="events"``); both produce the same census, so the
   shared census→cycles/energy fold is bitwise-identical by construction;
 * **simulation memo** — calibration, per-path host costs, CGRA schedules
-  and the braid's effective II are memoized per (input, config slice) in
-  a :class:`~repro.sim.memo.SimulationMemo`, so the three strategies the
-  pipeline evaluates (and DSE sweeps varying only CGRA/offload knobs)
-  share one replay, one OOO table and one schedule pool.
+  and the braid's constituent recurrence are memoized per (input, config
+  slice) in a :class:`~repro.sim.memo.SimulationMemo`, so the three
+  strategies the pipeline evaluates (and DSE sweeps varying only
+  CGRA/host/offload knobs) share one replay, one OOO table, one schedule
+  pool and one set of braid recurrences.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..artifacts import CALIBRATION_KIND, PATH_COSTS_KIND
+from ..artifacts import CALIBRATION_KIND, PATH_COSTS_KIND, RECURRENCE_KIND
 from ..frames.frame import Frame
 from ..obs import (
     counter as _obs_counter,
@@ -413,20 +414,34 @@ class OffloadSimulator:
             "schedule", frame, self._scheduler_fingerprint(scheduler), compute
         )
 
-    def _effective_ii(self, frame: Frame, sched, profile: PathProfile, scheduler) -> float:
+    def _effective_ii(
+        self,
+        frame: Frame,
+        sched,
+        profile: PathProfile,
+        scheduler,
+        artifact_key: Optional[str] = None,
+    ) -> float:
         """Initiation interval for pipelined invocations.
 
         For a braid, the whole-region recurrence is pessimistic: dataflow
         predication gates untaken arms, so an iteration flowing down the hot
         (short-chain) arm does not serialise behind the cold arm's chain.
         We weight each constituent path's recurrence by its frequency.
-        Memoized per (frame, CGRA config): the constituent-path schedules
-        this rebuilds are the most expensive part of a braid evaluation.
+
+        Only that weighted recurrence is memoized — it is the expensive
+        part (every constituent path is re-framed and re-scheduled) and it
+        reads nothing of the CGRA config but the two rounded memory
+        latencies.  It is keyed by (artifact key, constituent paths,
+        latency slice), persistently through the artifact cache, so every
+        design point that keeps the calibrated accelerator latency reuses
+        it; the config-dependent ``resource_ii`` floor is applied per call.
         """
         if frame.region.kind != "braid" or len(frame.region.source_paths) < 2:
             return float(sched.initiation_interval)
 
-        def compute() -> float:
+        def compute() -> Optional[float]:
+            from ..accel.cgra import CyclicFrameError
             from ..frames.frame import build_frame as _build_frame
             from ..regions.path_region import path_to_region as _path_to_region
             from ..profiling.ranking import RankedPath as _RankedPath
@@ -437,21 +452,17 @@ class OffloadSimulator:
                 freq = profile.counts.get(pid, 0)
                 if freq <= 0:
                     continue
+                blocks = profile.decode(pid)
+                rp = _RankedPath(
+                    path_id=pid, blocks=blocks, freq=freq,
+                    ops=count_ops(blocks), weight=0, coverage=0.0,
+                )
+                pframe = _build_frame(_path_to_region(frame.region.function, rp))
                 try:
-                    blocks = profile.decode(pid)
-                    rp = _RankedPath(
-                        path_id=pid, blocks=blocks, freq=freq,
-                        ops=count_ops(blocks), weight=0, coverage=0.0,
-                    )
-                    pframe = _build_frame(
-                        _path_to_region(frame.region.function, rp)
-                    )
                     psched = scheduler.schedule(
                         pframe, loop_carried=self._loop_carried(pframe)
                     )
-                    weighted += freq * psched.recurrence_ii
-                    total_freq += freq
-                except Exception as exc:
+                except CyclicFrameError as exc:
                     # constituent falls back to the whole-region II — count
                     # it so schedule regressions are visible, not silent
                     if _obs_enabled():
@@ -467,17 +478,29 @@ class OffloadSimulator:
                         pid, frame.region.function.name, exc,
                     )
                     continue
-            if total_freq == 0:
-                return float(sched.initiation_interval)
-            avg_recurrence = weighted / total_freq
-            return float(max(sched.resource_ii, avg_recurrence))
+                weighted += freq * psched.recurrence_ii
+                total_freq += freq
+            return weighted / total_freq if total_freq else None
 
         if self.memo is None:
-            return compute()
-        return self.memo.identity(
-            "effective_ii", frame, self._scheduler_fingerprint(scheduler),
-            compute,
-        )
+            avg_recurrence = compute()
+        else:
+            latencies = (
+                max(1, int(round(scheduler.load_latency))),
+                max(1, int(round(scheduler.store_latency))),
+            )
+            if artifact_key:
+                key = content_key(
+                    artifact_key, tuple(frame.region.source_paths), *latencies
+                )
+                avg_recurrence = self.memo.content(RECURRENCE_KIND, key, compute)
+            else:
+                avg_recurrence = self.memo.identity(
+                    RECURRENCE_KIND, frame, latencies, compute
+                )
+        if avg_recurrence is None:
+            return float(sched.initiation_interval)
+        return float(max(sched.resource_ii, avg_recurrence))
 
     @staticmethod
     def _loop_carried(frame: Frame):
@@ -511,6 +534,7 @@ class OffloadSimulator:
         frame: Frame,
         cal: Calibration,
         CGRAScheduler,
+        artifact_key: Optional[str] = None,
     ) -> _FrameCostModel:
         """Derive the per-frame cost constants every accounting consumer
         (attribution fold, timeline replay) shares."""
@@ -524,7 +548,9 @@ class OffloadSimulator:
             store_latency=max(1.0, effective_load / 3),
         )
         sched = self._schedule(scheduler, frame)
-        pipeline_ii = self._effective_ii(frame, sched, profile, scheduler)
+        pipeline_ii = self._effective_ii(
+            frame, sched, profile, scheduler, artifact_key
+        )
         frame_eb = self.energy_model.frame_energy(
             n_int_ops=sched.int_ops + sched.guard_ops,
             n_fp_ops=sched.fp_ops,
@@ -691,8 +717,8 @@ class OffloadSimulator:
 
         ``predictor_kind``: "oracle" or "history".  ``artifact_key`` (the
         workload's content hash, when known) upgrades the simulation
-        memo's calibration/path-cost entries from in-memory identity keys
-        to persistent content keys.
+        memo's calibration, path-cost and recurrence entries from
+        in-memory identity keys to persistent content keys.
         """
         # local import: repro.accel depends on repro.sim.config, so the
         # accel package cannot be imported at sim module-load time
@@ -752,7 +778,9 @@ class OffloadSimulator:
         base_cycles, base_energy, base_attr = self.baseline_attributed(
             profile, costs
         )
-        cm = self._cost_model(profile, frame, cal, CGRAScheduler)
+        cm = self._cost_model(
+            profile, frame, cal, CGRAScheduler, artifact_key
+        )
 
         targets = cm.targets
         if predictor_kind == "oracle":
@@ -860,7 +888,9 @@ class OffloadSimulator:
         costs = self.path_costs(
             profile, cal.host_load_latency, artifact_key=artifact_key
         )
-        cm = self._cost_model(profile, frame, cal, CGRAScheduler)
+        cm = self._cost_model(
+            profile, frame, cal, CGRAScheduler, artifact_key
+        )
         targets = cm.targets
         if predictor_kind == "oracle":
             predictor = OraclePredictor(targets)

@@ -1,5 +1,8 @@
+import pytest
+
 from repro.accel import (
     CGRAScheduler,
+    CyclicFrameError,
     HLSEstimator,
     HistoryPredictor,
     OraclePredictor,
@@ -47,6 +50,17 @@ def test_schedule_counts_ops(profiled_loop_with_branch):
         == frame.op_count
     )
     assert sched.guard_ops == frame.guard_count
+
+
+def test_cyclic_dependence_graph_raises_named_error(
+    profiled_loop_with_branch, monkeypatch
+):
+    frame, _ = _path_frame(profiled_loop_with_branch)
+    n = frame.op_count
+    monkeypatch.setattr(CGRAScheduler, "_build_deps",
+                        lambda self, f: [[(i + 1) % n] for i in range(n)])
+    with pytest.raises(CyclicFrameError):
+        CGRAScheduler().schedule(frame)
 
 
 def test_schedule_extracts_ilp(profiled_loop_with_branch):

@@ -1,11 +1,18 @@
 """Unit tests for OffloadSimulator internals: per-path costs, baseline
 accounting, loop-carried pair derivation and executed-fraction energy."""
 
+import pytest
+
+from repro import obs
+from repro.accel import CGRAScheduler, CyclicFrameError
 from repro.frames import build_frame
 from repro.interp import Interpreter, MultiTracer, TraceRecorder
+from repro.options import PipelineOptions
+from repro.pipeline import NeedlePipeline
 from repro.profiling import PathProfiler, rank_paths
 from repro.regions import build_braids, path_to_region
 from repro.sim import OffloadSimulator
+from repro.workloads import get
 
 from tests.conftest import build_counted_loop
 
@@ -91,3 +98,52 @@ def test_outcome_properties_zero_division_guards():
     )
     assert o.performance_improvement == 0.0
     assert o.energy_reduction == 0.0
+
+
+# -- braid effective II: constituent fallback ---------------------------------
+
+
+def _braid_case():
+    """(braid frame, profile, trace, scheduler, braid schedule) of a
+    workload whose braid has several constituent paths."""
+    analysis = NeedlePipeline(options=PipelineOptions(no_cache=True)) \
+        .analyse(get("164.gzip"))
+    frame = analysis.braid_frame
+    assert len(frame.region.source_paths) >= 2
+    scheduler = CGRAScheduler(load_latency=8.0, store_latency=2.7)
+    sched = scheduler.schedule(
+        frame, loop_carried=OffloadSimulator._loop_carried(frame))
+    return frame, analysis.profiled, scheduler, sched
+
+
+def test_constituent_rebuild_errors_propagate(monkeypatch):
+    frame, profiled, _scheduler, _sched = _braid_case()
+
+    def broken(region):
+        raise KeyError("constituent block")
+
+    # the effective II imports build_frame from its defining module
+    monkeypatch.setattr("repro.frames.frame.build_frame", broken)
+    with pytest.raises(KeyError):
+        OffloadSimulator(memo=False).simulate_offload(
+            "164.gzip", profiled.paths, frame, "oracle", profiled.trace)
+
+
+def test_cyclic_constituent_falls_back_to_region_ii_and_is_counted():
+    frame, profiled, scheduler, sched = _braid_case()
+    sim = OffloadSimulator(memo=False)
+    assert sim._effective_ii(frame, sched, profiled.paths, scheduler) \
+        != sched.initiation_interval
+
+    class Cyclic(CGRAScheduler):
+        def schedule(self, frame, loop_carried=None):
+            raise CyclicFrameError("cyclic frame dependence graph")
+
+    cyclic = Cyclic(load_latency=8.0, store_latency=2.7)
+    ran = sum(1 for pid in frame.region.source_paths
+              if profiled.paths.counts.get(pid, 0) > 0)
+    with obs.scoped() as reg:
+        ii = sim._effective_ii(frame, sched, profiled.paths, cyclic)
+    assert ii == float(sched.initiation_interval)
+    fallbacks = reg.counter("sim.effective_ii_fallbacks")
+    assert fallbacks.value(error="CyclicFrameError") == ran > 0

@@ -8,12 +8,14 @@ tables survive process death.
 """
 
 import pickle
+from dataclasses import replace
 
 from repro import obs, workloads
 from repro.artifacts import (
     ArtifactCache,
     CALIBRATION_KIND,
     PATH_COSTS_KIND,
+    RECURRENCE_KIND,
 )
 from repro.frames import build_frame
 from repro.options import PipelineOptions
@@ -21,6 +23,7 @@ from repro.pipeline import NeedlePipeline
 from repro.profiling import rank_paths
 from repro.regions import path_to_region
 from repro.sim import OffloadSimulator, SimulationMemo, content_key
+from repro.sim.config import DEFAULT_CONFIG
 from repro.workloads import profile_workload
 
 SUBSET = ["164.gzip", "429.mcf", "470.lbm", "dwt53"]
@@ -194,7 +197,38 @@ def test_parallel_workers_ship_memo_snapshots_back():
     assert pipe.sim_memo is not None
     assert pipe.sim_memo.snapshot()["content"]
     kinds = {kind for kind, _key in pipe.sim_memo.snapshot()["content"]}
-    assert kinds == {CALIBRATION_KIND, PATH_COSTS_KIND}
+    assert kinds == {CALIBRATION_KIND, PATH_COSTS_KIND, RECURRENCE_KIND}
+
+
+def test_design_points_reuse_braid_recurrences(tmp_path):
+    """The braid recurrence keys on the CGRA latency slice only: a CGRA
+    point reuses every recurrence the default point computed, a point
+    that moves the calibrated accelerator latency recomputes."""
+    suite = workloads.all_workloads()
+    cache_dir = str(tmp_path / "cache")
+
+    def sweep_point(config):
+        pipe = NeedlePipeline(
+            options=PipelineOptions(config=config, cache_dir=cache_dir))
+        with obs.scoped() as reg:
+            rows = [_flatten(ev) for ev in pipe.evaluate_all(suite)]
+        return (rows, reg.counter("simcache.hits").value(table="recurrence"),
+                reg.counter("simcache.misses").value(table="recurrence"))
+
+    _rows, _hits, computed = sweep_point(DEFAULT_CONFIG)
+    assert computed >= 22  # one per braid with several constituents
+
+    rows8 = replace(DEFAULT_CONFIG, cgra=replace(DEFAULT_CONFIG.cgra, rows=8))
+    rows, hits, misses = sweep_point(rows8)
+    assert hits >= 22 and misses == 0
+    assert rows == [_flatten(ev) for ev in NeedlePipeline(
+        options=PipelineOptions(config=rows8, no_cache=True, no_sim_memo=True)
+    ).evaluate_all(suite)]
+
+    dram200 = replace(DEFAULT_CONFIG,
+                      memory=replace(DEFAULT_CONFIG.memory, dram_latency=200))
+    _rows, _hits, misses = sweep_point(dram200)
+    assert misses > 0
 
 
 def test_persisted_tables_survive_process_boundary(tmp_path):

@@ -8,6 +8,7 @@ from repro import workloads
 from repro.artifacts import (
     EVALUATION_KIND,
     PROFILE_KIND,
+    RECURRENCE_KIND,
     ArtifactCache,
     workload_key,
 )
@@ -74,6 +75,12 @@ def test_clear(cache):
     cache.put(EVALUATION_KIND, "bb" * 32, 2)
     assert cache.clear() == 2
     assert cache.get(PROFILE_KIND, "aa" * 32) is None
+
+
+def test_clear_removes_recurrence_entries(cache):
+    cache.put(RECURRENCE_KIND, "cc" * 32, 7.5)
+    assert cache.clear() == 1
+    assert cache.get(RECURRENCE_KIND, "cc" * 32) is None
 
 
 def test_env_var_overrides_default_root(tmp_path, monkeypatch):

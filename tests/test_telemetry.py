@@ -20,7 +20,12 @@ from repro.obs import events as ev
 from repro.obs import export
 from repro.options import PipelineOptions
 from repro.pipeline import NeedlePipeline
-from repro.resilience.faults import SITE_WORKER_CRASH, FaultPlan, FaultSpec
+from repro.resilience.faults import (
+    SITE_WORKER_CRASH,
+    SITE_WORKER_HANG,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.workloads import get
 from repro.workloads.base import clear_profile_cache
 
@@ -93,7 +98,13 @@ def test_semantic_output_identical_under_crash_plan(pool, tmp_path):
 
 
 def test_pooled_sweep_emits_gapless_lifecycle_and_heartbeats(tmp_path):
-    _sweep("thread", telemetry_dir=tmp_path)
+    # a bounded hang holds one task for several 50 ms beats, so a beat
+    # surfaces however fast the rest of the sweep runs
+    plan = FaultPlan(seed=3, specs=(
+        FaultSpec(site=SITE_WORKER_HANG, key=SUBSET[0],
+                  payload={"seconds": 0.3}),
+    ))
+    _sweep("thread", fault_plan=plan, telemetry_dir=tmp_path)
     lines = (tmp_path / "events.jsonl").read_text().splitlines()
     events = [json.loads(line) for line in lines]
     assert [e["seq"] for e in events] == list(range(len(events)))
@@ -105,7 +116,7 @@ def test_pooled_sweep_emits_gapless_lifecycle_and_heartbeats(tmp_path):
             e["kind"] for e in events if e["key"] == name
         }
     beats = [e for e in events if e["kind"] == "worker_heartbeat"]
-    assert beats, "a 50ms heartbeat must surface during a multi-second sweep"
+    assert beats, "a 50ms heartbeat must surface during a 300ms hang"
     for beat in beats:
         assert beat["data"]["worker"].startswith("thread-")
         assert beat["data"]["elapsed"] >= 0
