@@ -28,10 +28,10 @@ Python API uses.  Suite sweeps are fail-safe: ``--timeout``,
 ``--retries`` and ``--fail-fast`` control the retry/quarantine policy
 (quarantined workloads render as ``failed:<kind>`` rows), and
 ``--fault-plan plan.json`` injects a deterministic chaos plan
-(docs/resilience.md).  ``--trace-kernels events`` selects the
-event-by-event reference accounting and ``--no-sim-memo`` disables the
-cross-strategy simulation memo — both bitwise-neutral, perf-only knobs
-(docs/performance.md).
+(docs/resilience.md).  ``--trace-kernels events`` selects the per-event
+reference oracle (event-by-event accounting and the exact cache replay)
+and ``--no-sim-memo`` disables the cross-strategy simulation memo — both
+bitwise-neutral, perf-only knobs (docs/performance.md).
 
 Suite sweeps are also *crash-safe*: ``--journal-dir DIR`` (or
 ``$REPRO_JOURNAL_DIR``) writes a write-ahead run journal, and

@@ -89,12 +89,12 @@ class PipelineOptions:
                      retrying/quarantining.
     ``fault_plan``   a :class:`~repro.resilience.FaultPlan` (or a path to
                      its JSON form) injected into the run — chaos testing.
-    ``trace_kernels`` offload-accounting kernels: ``"rle"`` (closed-form
-                     run folds, the default), ``"events"`` (the
-                     event-by-event reference path) or ``"array"``
-                     (columnar batch kernels; numpy when available,
-                     batched pure Python otherwise).  All modes give
-                     bitwise-identical outcomes, property-tested.
+    ``trace_kernels`` simulation tier: ``"rle"`` (the production path:
+                     closed-form run folds and memory calibration, the
+                     default) or ``"events"`` (the per-event reference
+                     oracle: event-by-event accounting and the exact
+                     cache replay).  Both give bitwise-identical
+                     outcomes, property-tested.
     ``no_sim_memo``  disable the cross-strategy simulation memo (every
                      strategy recomputes calibration/path costs/schedules).
     ``journal_dir``  write a crash-safe run journal for suite sweeps
@@ -433,12 +433,12 @@ class PipelineOptions:
         )
         parser.add_argument(
             "--trace-kernels",
-            choices=("rle", "events", "array"),
+            choices=("rle", "events"),
             default=cls.trace_kernels,
-            help="offload-accounting kernels: closed-form run folds "
-            "('rle', default), the event-by-event reference path "
-            "('events'), or columnar batch kernels ('array'; numpy "
-            "when available); outcomes are bitwise-identical",
+            help="simulation tier: the closed-form production path "
+            "('rle', default) or the per-event reference oracle with "
+            "the exact cache replay ('events'); outcomes are "
+            "bitwise-identical",
         )
         parser.add_argument(
             "--no-sim-memo",

@@ -88,11 +88,10 @@ from .resilience.shutdown import (
 )
 from .regions.braid import Braid, build_braids
 from .regions.path_region import path_to_region
-from .sim.array_kernels import backend_name
 from .sim.config import DEFAULT_CONFIG, SystemConfig
 from .sim.memo import SimulationMemo
 from .sim.offload import OffloadOutcome, OffloadSimulator
-from .sim.trace_kernels import KERNEL_MODE_LABELS, KERNELS_ARRAY
+from .sim.trace_kernels import KERNEL_MODE_LABELS
 from .workloads.base import ProfiledWorkload, Workload, profile_workload
 
 log = logging.getLogger(__name__)
@@ -367,16 +366,11 @@ class NeedlePipeline:
             # recorded here as well as in the simulator so cache-served
             # evaluations still state which kernel tier is configured
             obs.gauge("sim.kernel_mode", 1.0,
-                      help="which trace-kernel tier and backend produced "
-                           "this simulation (value is always 1; the "
-                           "labels carry the information)",
+                      help="which trace-kernel tier produced this "
+                           "simulation (value is always 1; the label "
+                           "carries the information)",
                       workload=workload.name,
-                      mode=KERNEL_MODE_LABELS[self.simulator.trace_kernels],
-                      backend=(
-                          backend_name()
-                          if self.simulator.trace_kernels == KERNELS_ARRAY
-                          else "python"
-                      ))
+                      mode=KERNEL_MODE_LABELS[self.simulator.trace_kernels])
             publish_workload_evaluation(evaluation)
         self._evaluations[workload.name] = evaluation
         return evaluation

@@ -11,14 +11,6 @@ from .config import (
     OffloadConfig,
     SystemConfig,
 )
-from .array_kernels import (
-    BACKEND_NUMPY,
-    BACKEND_PYTHON,
-    FORCE_PYTHON_ENV,
-    backend_name,
-    census_from_segments_array,
-    runs_to_columns,
-)
 from .cache import (
     AccessResult,
     BankedL2,
@@ -38,25 +30,14 @@ from .coherence import (
     MODIFIED,
     SHARED,
 )
-from .core_ooo import OOOModel, OOOResult, simulate_paths_batch
+from .core_ooo import OOOModel, OOOResult
 from .energy import EnergyBreakdown, EnergyModel
 from .memo import Calibration, SimulationMemo, content_key
 from .offload import OffloadOutcome, OffloadSimulator, PathCost
-from .ooo_columns import (
-    CompiledPath,
-    LANE_TIERS,
-    LaneTierDecision,
-    compile_path,
-    compile_paths,
-    select_lane_tier,
-    simulate_paths_tiered,
-    simulate_paths_vectorized,
-)
 from .trace_kernels import (
     ChargeCensus,
     KERNEL_MODE_LABELS,
     KERNEL_MODES,
-    KERNELS_ARRAY,
     KERNELS_EVENTS,
     KERNELS_RLE,
     RLETrace,
@@ -67,8 +48,6 @@ from .trace_kernels import (
 
 __all__ = [
     "AccessResult",
-    "BACKEND_NUMPY",
-    "BACKEND_PYTHON",
     "BankedL2",
     "CGRAConfig",
     "Cache",
@@ -76,7 +55,6 @@ __all__ = [
     "CacheStats",
     "Calibration",
     "ChargeCensus",
-    "CompiledPath",
     "CoherenceActions",
     "CoherenceError",
     "DEFAULT_CONFIG",
@@ -84,16 +62,12 @@ __all__ = [
     "EnergyBreakdown",
     "EnergyConfig",
     "EnergyModel",
-    "FORCE_PYTHON_ENV",
     "HostConfig",
     "INVALID",
     "KERNEL_MODE_LABELS",
     "KERNEL_MODES",
-    "KERNELS_ARRAY",
     "KERNELS_EVENTS",
     "KERNELS_RLE",
-    "LANE_TIERS",
-    "LaneTierDecision",
     "MemoryHierarchyConfig",
     "MemorySystem",
     "MESIDirectory",
@@ -109,19 +83,10 @@ __all__ = [
     "SimulationMemo",
     "StreamProfile",
     "SystemConfig",
-    "backend_name",
     "census_from_events",
     "census_from_segments",
-    "census_from_segments_array",
-    "compile_path",
-    "compile_paths",
     "content_key",
     "profile_stream_dual",
     "profile_stream_dual_array",
     "run_length_encode",
-    "runs_to_columns",
-    "select_lane_tier",
-    "simulate_paths_batch",
-    "simulate_paths_tiered",
-    "simulate_paths_vectorized",
 ]

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .config import CacheConfig, MemoryHierarchyConfig
 
 
@@ -358,15 +360,13 @@ def profile_stream_dual_array(
 
     The per-set distinct-line counts are checked up front; any overflow
     (possible for adversarial streams, never observed on the suite)
-    falls back to the exact sequential replay, as does the pure-Python
-    backend — either way the returned profiles are bit-identical to
-    :func:`profile_stream_dual` (integer latency sums, same divisions).
+    falls back to the exact sequential replay, as do an empty stream and
+    mismatched L1/L2 line sizes — either way the returned profiles are
+    bit-identical to :func:`profile_stream_dual` (integer latency sums,
+    same divisions).
     """
-    from .array_kernels import get_numpy
-
-    np = get_numpy()
     hier = hierarchy or MemoryHierarchyConfig()
-    if np is None or hier.l1.line_bytes != hier.l2.line_bytes:
+    if hier.l1.line_bytes != hier.l2.line_bytes:
         return profile_stream_dual(hierarchy, stream)
     if not isinstance(stream, (list, tuple)):
         stream = list(stream)

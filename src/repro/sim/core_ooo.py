@@ -280,709 +280,3 @@ class OOOModel:
         else:
             result.dram_accesses += 1
         return res.latency
-
-
-# -- lane-batched replay (array kernels) -------------------------------------
-
-
-#: minimum effective lane parallelism (total micro-ops / longest lane)
-#: for the lockstep batch to beat the scalar loop; below it, numpy
-#: per-step overhead exceeds the per-lane work it amortises.  Measured
-#: on the 29-workload suite: at high rep counts the batch is 2.0–2.6×
-#: for geometries with ≥ ~25 average active lanes and ≤ 1.2× below.
-BATCH_MIN_EFFECTIVE_LANES = 25
-
-#: minimum compile amortisation (total micro-ops / python-walked
-#: micro-ops) for the batch to win.  Lane compilation walks
-#: ``min(reps, 2)`` reps in Python at a per-uop cost comparable to the
-#: scalar simulator's, so the batch only pays off when replication
-#: covers most reps: measured break-even at ``reps = 4`` (amortisation
-#: 2) and 2.0–2.6× at ``reps = 40`` (amortisation 20) on suite shapes.
-BATCH_MIN_REP_AMORTISATION = 8
-
-
-class _Lane:
-    """One compiled trace: φ-free micro-op columns plus static census.
-
-    In the fixed-latency regime (no memory system/stream) a φ never
-    occupies a pipeline resource — it copies the finish time its taken
-    edge's definition had *at that point in the trace*.  Both facts are
-    static once the block sequence is known, so compilation resolves
-    every operand (φs included, chained φs included) to the 1-based
-    position of the last micro-op that wrote it before the consumer, or
-    to slot 0 (the "never written" ground, finish time 0.0).  The
-    batched replay then sees only real micro-ops: kind codes, latencies
-    and operand source slots.
-
-    Repetition folding: the trace is ``blocks × reps`` and every rep
-    writes the same values, so from the second rep on each operand
-    resolves either into its own rep or the one before — rep ``r ≥ 2``
-    is rep 1 with every non-ground slot shifted by ``(r-1) × stride``.
-    Only the first two reps are walked in Python; the rest replicate as
-    column arithmetic.  That shift invariance is exactly what
-    :func:`resolve_wraparound_slots` checks: back-edge φ chains whose
-    dependency recedes two or more repetitions per instance are still
-    *warming up* at rep 2 (their operands ground there but resolve to
-    real slots later), so the caller routes such traces to the scalar
-    walk instead of building a lane.
-    """
-
-    __slots__ = ("key", "kinds", "lats", "srcs", "n_real", "census")
-
-    def __init__(self, key, model: "OOOModel", blocks, reps: int, np) -> None:
-        self.key = key
-        uop_cache = model._uops
-        kinds: List[int] = []
-        lats: List[int] = []
-        srcs: List[Tuple[int, ...]] = []
-        slot_of: Dict[Value, int] = {}
-        counts = [0] * 6
-        prev_block: Optional[BasicBlock] = None
-        walked = min(reps, 2)
-        for _ in range(walked):
-            for block in blocks:
-                uops = uop_cache.get(block)
-                if uops is None:
-                    uops = model._decode(block)
-                    uop_cache[block] = uops
-                for kind, inst, latency, writes in uops:
-                    if kind == _UOP_PHI:
-                        counts[_UOP_PHI] += 1
-                        if prev_block is not None:
-                            src = inst.incoming_for(prev_block)
-                            slot_of[inst] = (
-                                slot_of.get(src, 0) if src is not None else 0
-                            )
-                        else:
-                            slot_of[inst] = 0
-                        continue
-                    counts[kind] += 1
-                    kinds.append(kind)
-                    lats.append(latency)
-                    srcs.append(
-                        tuple(slot_of.get(op, 0) for op in inst.operands)
-                    )
-                    if writes:
-                        slot_of[inst] = len(kinds)  # 1-based finish slot
-                prev_block = block
-        from .array_kernels import ragged_to_matrix
-
-        n_walked = len(kinds)
-        width = max(map(len, srcs), default=0)
-        kind_cols = np.asarray(kinds, dtype=np.int8)
-        lat_cols = np.asarray(lats, dtype=np.float64)
-        src_cols = ragged_to_matrix(srcs, np)
-        if reps > walked:
-            # replicate rep 1 for reps 2..reps-1, shifting real slots
-            stride = n_walked // 2
-            extra = reps - walked
-            k1 = kind_cols[stride:]
-            l1 = lat_cols[stride:]
-            s1 = src_cols[stride:]
-            shifts = stride * np.arange(1, extra + 1, dtype=np.int64)
-            shifted = np.where(
-                s1[None, :, :] > 0,
-                s1[None, :, :] + shifts[:, None, None],
-                0,
-            ).reshape(extra * stride, width)
-            kind_cols = np.concatenate([kind_cols, np.tile(k1, extra)])
-            lat_cols = np.concatenate([lat_cols, np.tile(l1, extra)])
-            src_cols = np.concatenate([src_cols, shifted])
-            # reps are structurally identical, so the walked census scales
-            counts = [c // walked * reps for c in counts]
-        self.kinds = kind_cols
-        self.lats = lat_cols
-        self.srcs = src_cols
-        self.n_real = len(kind_cols)
-        census = OOOResult(
-            instructions=self.n_real,
-            int_ops=counts[_UOP_INT],
-            fp_ops=counts[_UOP_FP],
-            loads=counts[_UOP_LOAD],
-            stores=counts[_UOP_STORE],
-            branches=counts[_UOP_BRANCH],
-            phis=counts[_UOP_PHI],
-        )
-        self.census = census
-
-
-def _batch_geometry(traces) -> Tuple[int, int, int]:
-    """(total, longest, python-walked) micro-op counts of the traces."""
-    total = longest = walked = 0
-    for _key, blocks, reps in traces:
-        per_rep = sum(len(block.instructions) for block in blocks)
-        n = reps * per_rep
-        total += n
-        walked += min(reps, 2) * per_rep
-        longest = max(longest, n)
-    return total, longest, walked
-
-
-def _path_records(model: OOOModel, block: BasicBlock):
-    """Walk records of one block: ``(records, φ slots, real-uop count)``.
-
-    Records are ``(kind, inst, latency, writes, ops)`` for real micro-ops
-    — ``ops`` pre-filtered to Instruction operands, deduplicated — and
-    ``(kind, inst, None)`` placeholders for φs, whose source depends on
-    the path position and is bound by the caller.  Memoized per model,
-    like the decode cache it is derived from.
-    """
-    cache = model.__dict__.setdefault("_path_records_cache", {})
-    entry = cache.get(block)
-    if entry is None:
-        uops = model._uops.get(block)
-        if uops is None:
-            uops = model._decode(block)
-            model._uops[block] = uops
-        recs = []
-        phi_slots = []
-        n_real = 0
-        for kind, inst, latency, writes in uops:
-            if kind == _UOP_PHI:
-                phi_slots.append((len(recs), inst))
-                recs.append((_UOP_PHI, inst, None))
-            else:
-                ops = tuple(dict.fromkeys(
-                    op for op in inst.operands if isinstance(op, Instruction)
-                ))
-                recs.append((kind, inst, latency, writes, ops))
-                n_real += 1
-        entry = (recs, phi_slots, n_real)
-        cache[block] = entry
-    return entry
-
-
-def resolved_path_steps(
-    model: OOOModel, blocks
-) -> Tuple[List[tuple], List[tuple], int]:
-    """Bind one repetition of ``blocks`` into per-position walk records.
-
-    Returns ``(steps_first, steps_wrap, real_per_rep)``.  Both step lists
-    hold one record per micro-op position: real micro-ops as ``(kind,
-    inst, latency, writes, ops)`` with operands pre-filtered to
-    Instruction values (see :func:`_path_records`), φs as ``(_UOP_PHI,
-    inst, src)`` with the source bound for this path position —
-    ``steps_first`` resolves the first block's φs as path entry (no
-    predecessor, ground), ``steps_wrap`` as the wraparound from the last
-    block, which is what every repetition after the first sees.  Shared
-    by the scalar steady-state walk (:func:`simulate_path_reps`) and the
-    columnar path compiler (:mod:`repro.sim.ooo_columns`), so both tiers
-    replay exactly the same resolved micro-op stream.
-    """
-    blocks = tuple(blocks)
-    per_block = []  # (records-with-φ-placeholders, φ slots, real count)
-    real_per_rep = 0
-    for block in blocks:
-        entry = _path_records(model, block)
-        per_block.append(entry)
-        real_per_rep += entry[2]
-
-    def resolve(recs, phi_slots, prev):
-        """Per-position copy of a block's records with φ sources bound."""
-        if not phi_slots:
-            return recs
-        out = list(recs)
-        for idx, inst in phi_slots:
-            src = inst.incoming_for(prev) if prev is not None else None
-            if not isinstance(src, Instruction):
-                src = None  # non-Instruction sources always miss: ground
-            out[idx] = (_UOP_PHI, inst, src)
-        return out
-
-    steps_wrap: List[tuple] = []
-    for i, block in enumerate(blocks):
-        recs, phi_slots, _ = per_block[i]
-        steps_wrap.extend(
-            resolve(recs, phi_slots, blocks[i - 1] if i else blocks[-1])
-        )
-    recs0, phi_slots0, _ = per_block[0]
-    if phi_slots0:
-        steps_first = (
-            resolve(recs0, phi_slots0, None) + steps_wrap[len(recs0):]
-        )
-    else:
-        steps_first = steps_wrap
-    return steps_first, steps_wrap, real_per_rep
-
-
-class _WindowEscape(Exception):
-    """A resolved operand reaches past the two-repetition slot window."""
-
-
-def resolve_wraparound_slots(model: OOOModel, blocks):
-    """Exact two-repetition operand slots for one wraparound repetition.
-
-    Returns one slot tuple per real micro-op position — ``0`` the
-    never-written ground, ``1..stride`` the previous repetition's real
-    micro-op (1-based), ``stride+1..2·stride`` the current
-    repetition's — or ``None`` when the path cannot be expressed in
-    that window.  The subtlety is φ resolution: the per-event walk
-    resolves φs *sequentially*, so a φ reading a φ defined at or after
-    it in path order sees that φ's **previous-repetition** value, and
-    chained back-edge φs recede one repetition per hop.  A chain that
-    bottoms out two or more repetitions back has no slot here —
-    compiled tiers must replay such paths with the scalar walk, which
-    carries the finish map explicitly.  Pure-φ cycles ground (their
-    values recede to the trace head, where every φ reads 0.0), and a
-    path revisiting a block is declined outright (definition positions
-    are ambiguous).
-    """
-    blocks = tuple(blocks)
-    _first, steps_wrap, stride = resolved_path_steps(model, blocks)
-    # definition geometry: path-order ordinal of every defined value,
-    # 1-based real-uop positions, each φ's bound wraparound source
-    ordinal: Dict[Value, int] = {}
-    real_pos: Dict[Value, int] = {}
-    phi_src: Dict[Value, Optional[Instruction]] = {}
-    pos = 0
-    for o, rec in enumerate(steps_wrap):
-        if rec[0] == _UOP_PHI:
-            inst = rec[1]
-            if inst in ordinal:
-                return None  # revisited block
-            ordinal[inst] = o
-            phi_src[inst] = rec[2]
-        else:
-            pos += 1
-            if rec[3]:  # writes
-                inst = rec[1]
-                if inst in ordinal:
-                    return None
-                ordinal[inst] = o
-                real_pos[inst] = pos
-
-    phi_slot: Dict[Value, int] = {}  # φ value slot, own-instance coords
-    chasing: set = set()
-
-    def value_slot(inst, at_ord: int) -> int:
-        """Slot of ``inst``'s value as visible to a reader at ``at_ord``."""
-        o_def = ordinal.get(inst)
-        if o_def is None:
-            return 0  # defined outside the path: ground
-        p = real_pos.get(inst)
-        if p is not None:
-            # defined earlier in path order: this repetition's instance;
-            # otherwise the previous one (use before def via the back edge)
-            return stride + p if o_def < at_ord else p
-        slot = phi_slot.get(inst)
-        if slot is None:
-            if inst in chasing:
-                return 0  # pure-φ cycle: grounds at the trace head
-            src = phi_src[inst]
-            if src is None:
-                slot = 0
-            else:
-                chasing.add(inst)
-                slot = value_slot(src, o_def)
-                chasing.discard(inst)
-            phi_slot[inst] = slot
-        if o_def < at_ord:
-            return slot
-        # the previous repetition's instance of this φ: one more rep back
-        if slot == 0:
-            return 0
-        if slot <= stride:
-            raise _WindowEscape  # two or more repetitions back
-        return slot - stride
-
-    rows = []
-    append = rows.append
-    try:
-        for o, rec in enumerate(steps_wrap):
-            if rec[0] == _UOP_PHI:
-                continue
-            ops = rec[4]
-            append(tuple([value_slot(op, o) for op in ops]) if ops else ())
-    except _WindowEscape:
-        return None
-    return rows
-
-
-def simulate_path_reps(model: OOOModel, blocks, reps: int) -> OOOResult:
-    """``model.simulate(list(blocks) × reps)`` with steady-state closure.
-
-    In the fixed-latency regime every quantity the replay computes is an
-    integer carried in a float (latencies are ints, allocation and
-    retirement advance by +1, everything else is max), and the update
-    rules are invariant under shifting all times by a constant.  So once
-    the machine state at the end of rep ``r+1`` equals the state at the
-    end of rep ``r`` shifted by ``d = Δ last_retire`` — same fetch-slot
-    phase, same relative ROB/retire rings, same relative functional-unit
-    heaps, same relative finish times — every later rep repeats the same
-    schedule shifted by another ``d``, *exactly*.  The remaining reps
-    then close in O(1): integer census fields scale by reps, and the
-    final retire time extends by ``remaining × d`` with no float drift
-    (all values stay integral, so the additions are exact).
-
-    State comparison details that keep this bit-identical:
-
-    * the ALU/FPU pools are compared as heap *arrays*, not multisets —
-      tie-breaking on equal free times depends on heap layout;
-    * the ROB ring is compared aligned to its head; while it is still
-      filling it is only ignorable when it can never fill (total
-      micro-ops ≤ rob_entries), otherwise the reps stay explicit until
-      the ring is full at two consecutive rep boundaries;
-    * the retire ring is compared aligned to the retire index, and the
-      fetch-slot phase (``alloc_in_cycle``) absolutely.
-
-    When no periodic boundary appears the loop just runs all ``reps``
-    explicitly — which *is* the oracle computation, so the fallback is
-    trivially exact.
-    """
-    if model.memory_system is not None:
-        raise ValueError("simulate_path_reps requires a fixed-latency model")
-    blocks = tuple(blocks)
-    if not blocks:
-        return model.simulate(list(blocks) * reps)
-
-    cfg = model.config
-    result = OOOResult()
-    finish: Dict[Value, float] = {}
-    rob: List[float] = []
-    rob_head = 0
-    alloc_cycle = 0.0
-    alloc_in_cycle = 0
-    retire_times: List[float] = [0.0] * cfg.retire_width
-    retire_idx = 0
-    last_retire = 0.0
-    alu_free = [0.0] * cfg.int_alus
-    fpu_free = [0.0] * cfg.fp_units
-    heapq.heapify(alu_free)
-    heapq.heapify(fpu_free)
-
-    fetch_width = cfg.fetch_width
-    retire_width = cfg.retire_width
-    rob_entries = cfg.rob_entries
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    # -- compile the path into walk records ----------------------------------
-    # Real micro-ops carry their operand list pre-filtered to Instruction
-    # operands: the finish dict is only ever keyed by Instructions, so
-    # constants/arguments/globals can never hit — and Constant's
-    # value-based __hash__ is the single hottest call in the plain walk.
-    # φ records carry their source pre-resolved for this path position
-    # (``None`` ⇒ ground, finish time 0.0).  Both rewrites change no
-    # lookup's outcome, only skip lookups that always miss.
-    steps_first, steps_wrap, real_per_rep = resolved_path_steps(model, blocks)
-    rob_can_fill = reps * real_per_rep > rob_entries
-
-    stale = float("-inf")
-
-    def snapshot():
-        """Rep-boundary machine state, shifted so it is rep-invariant.
-
-        Times are recorded relative to ``last_retire`` so two boundaries
-        of identical shape compare equal.  Values at or below the current
-        ``alloc_cycle`` are canonicalised to a ``-inf`` sentinel: every
-        future use is a max against a quantity ≥ the (monotone)
-        allocation cycle, so such values are semantically dead — without
-        the clamp a φ grounded outside the path (absolute 0.0 forever)
-        or an idle functional unit would drift relative to
-        ``last_retire`` and mask real periodicity.  The unit pools
-        compare as sorted multisets: a binary heap pops the minimum, so
-        its observable behaviour depends only on the value multiset.
-        """
-        if rob_can_fill:
-            if len(rob) < rob_entries:
-                return None  # ring still filling: boundary not comparable
-            rob_view = tuple(
-                rob[(rob_head + i) % rob_entries] - last_retire
-                if rob[(rob_head + i) % rob_entries] > alloc_cycle
-                else stale
-                for i in range(rob_entries)
-            )
-        else:
-            rob_view = ()  # ring can never fill, so it is never read
-        return (
-            alloc_in_cycle,
-            alloc_cycle - last_retire,
-            tuple(sorted(
-                x - last_retire if x > alloc_cycle else stale
-                for x in alu_free
-            )),
-            tuple(sorted(
-                x - last_retire if x > alloc_cycle else stale
-                for x in fpu_free
-            )),
-            tuple(
-                # a slot only matters while slot + 1 can exceed a future
-                # (monotone) last_retire, i.e. while slot == last_retire
-                retire_times[(retire_idx + i) % retire_width] - last_retire
-                if retire_times[(retire_idx + i) % retire_width]
-                >= last_retire
-                else stale
-                for i in range(retire_width)
-            ),
-            rob_view,
-            {
-                k: (v - last_retire if v > alloc_cycle else stale)
-                for k, v in finish.items()
-            },
-        )
-
-    prev_snap = None
-    prev_retire = 0.0
-    for rep in range(reps):
-        for rec in steps_first if rep == 0 else steps_wrap:
-            kind = rec[0]
-            if kind == _UOP_PHI:
-                result.phis += 1
-                src = rec[2]
-                finish[rec[1]] = finish.get(src, 0.0) if src is not None else 0.0
-                continue
-            _, inst, latency, writes, ops = rec
-
-            if alloc_in_cycle >= fetch_width:
-                alloc_cycle += 1
-                alloc_in_cycle = 0
-            if len(rob) >= rob_entries:
-                oldest = rob[rob_head % rob_entries]
-                if oldest > alloc_cycle:
-                    alloc_cycle = oldest
-                    alloc_in_cycle = 0
-            alloc_in_cycle += 1
-            result.instructions += 1
-
-            ready = alloc_cycle
-            for op in ops:
-                t = finish.get(op)
-                if t is not None and t > ready:
-                    ready = t
-
-            if kind == _UOP_INT:
-                unit = heappop(alu_free)
-                start = ready if ready > unit else unit
-                heappush(alu_free, start + 1)
-                result.int_ops += 1
-                done = start + latency
-            elif kind == _UOP_FP:
-                unit = heappop(fpu_free)
-                start = ready if ready > unit else unit
-                heappush(fpu_free, start + 1)
-                result.fp_ops += 1
-                done = start + latency
-            elif kind == _UOP_LOAD:
-                done = ready + latency
-                result.loads += 1
-            elif kind == _UOP_STORE:
-                done = ready + latency
-                result.stores += 1
-            else:  # _UOP_BRANCH
-                done = ready + 1
-                result.branches += 1
-
-            if writes:
-                finish[inst] = done
-
-            width_slot = retire_times[retire_idx % retire_width]
-            retire = max(done, last_retire, width_slot + 1)
-            retire_times[retire_idx % retire_width] = retire
-            retire_idx += 1
-            last_retire = retire
-            if len(rob) < rob_entries:
-                rob.append(retire)
-            else:
-                rob[rob_head % rob_entries] = retire
-                rob_head += 1
-
-        if rep + 1 == reps:
-            break  # no reps left to extrapolate; snapshot would be wasted
-        if reps < 3:
-            continue  # a snapshot could never be compared before the end
-        snap = snapshot()
-        if snap is not None and snap == prev_snap:
-            explicit = rep + 1
-            remaining = reps - explicit
-            d = last_retire - prev_retire
-            for name in vars(result):
-                per_rep = getattr(result, name) // explicit
-                setattr(
-                    result, name, getattr(result, name) + remaining * per_rep
-                )
-            result.cycles = (
-                int(last_retire + remaining * d) if result.instructions else 0
-            )
-            return result
-        prev_snap = snap
-        prev_retire = last_retire
-
-    result.cycles = int(last_retire) if result.instructions else 0
-    return result
-
-
-def simulate_paths_batch(
-    model: OOOModel, traces, gate: bool = True
-) -> Dict[object, OOOResult]:
-    """Replay many repeated block traces through the OOO model in lockstep.
-
-    ``traces`` is an iterable of ``(key, blocks, reps)``; the result maps
-    each key to the :class:`OOOResult` that ``model.simulate(blocks ×
-    reps)`` returns.  Valid only for fixed-latency models (no memory
-    system) — exactly the regime
-    :meth:`~repro.sim.offload.OffloadSimulator.path_costs` runs in.
-
-    With numpy and favourable geometry (many lanes relative to the
-    longest lane, :data:`BATCH_MIN_EFFECTIVE_LANES`, *and* rep counts
-    high enough that column replication amortises lane compilation,
-    :data:`BATCH_MIN_REP_AMORTISATION`), lanes advance one
-    micro-op per step with the machine state held as per-lane columns;
-    lanes are sorted longest first so the active set is always a
-    shrinking array prefix.  Because every active lane allocates exactly
-    one micro-op per step, the ROB ring head and the retire-ring slot
-    are *scalar* column indices, and the ALU/FPU pools update as
-    argmin-replace — which preserves the free-time multiset the scalar
-    heaps maintain (only the minimum is ever observable), so every
-    max/+ float is IEEE-identical to the scalar loop.  Otherwise the
-    scalar loop — already the per-event oracle — runs per lane.
-
-    ``gate=False`` skips the geometry gate (the caller — normally the
-    memoized tier selector in :mod:`repro.sim.ooo_columns` — has already
-    decided this tier applies); the numpy-availability fallback remains.
-    """
-    if model.memory_system is not None:
-        raise ValueError("simulate_paths_batch requires a fixed-latency model")
-    from .array_kernels import get_numpy
-
-    np = get_numpy()
-    traces = list(traces)
-
-    def scalar() -> Dict[object, OOOResult]:
-        # the per-lane scalar tier still beats plain repetition: the
-        # steady-state closure skips every rep after the schedule
-        # becomes periodic
-        return {
-            key: simulate_path_reps(model, blocks, reps)
-            for key, blocks, reps in traces
-        }
-
-    if np is None or not traces:
-        return scalar()
-    if gate:
-        total_uops, longest, walked_uops = _batch_geometry(traces)
-        if (
-            longest == 0
-            or total_uops // longest < BATCH_MIN_EFFECTIVE_LANES
-            or total_uops // max(1, walked_uops) < BATCH_MIN_REP_AMORTISATION
-        ):
-            return scalar()
-
-    cfg = model.config
-    out: Dict[object, OOOResult] = {}
-    lanes = []
-    for key, blocks, reps in traces:
-        if resolve_wraparound_slots(model, blocks) is None:
-            # deep back-edge φ chain (or revisited block): the rep
-            # replication below assumes every operand resolves within
-            # one repetition back, which such paths violate — the
-            # scalar walk carries the finish map explicitly instead
-            out[key] = simulate_path_reps(model, blocks, reps)
-        else:
-            lanes.append(_Lane(key, model, blocks, reps, np))
-    active = []
-    for lane in lanes:
-        if lane.n_real:
-            active.append(lane)
-        else:
-            out[lane.key] = lane.census
-    if not active:
-        return out
-    active.sort(key=lambda lane: lane.n_real, reverse=True)
-
-    P = len(active)
-    K = active[0].n_real
-    M = max(lane.srcs.shape[1] for lane in active)
-    KIND = np.zeros((P, K), dtype=np.int8)
-    LAT = np.zeros((P, K), dtype=np.float64)
-    SRC = np.zeros((P, K, M), dtype=np.int64)
-    lens = np.empty(P, dtype=np.int64)
-    for i, lane in enumerate(active):
-        n = lane.n_real
-        lens[i] = n
-        KIND[i, :n] = lane.kinds
-        LAT[i, :n] = lane.lats
-        if lane.srcs.shape[1]:
-            SRC[i, :n, : lane.srcs.shape[1]] = lane.srcs
-    # bake each lane's row offset into its source slots: operand gathers
-    # against the flattened finish matrix become single take() calls
-    SRC += (np.arange(P) * (K + 1))[:, None, None]
-    IS_INT = KIND == _UOP_INT
-    IS_FP = KIND == _UOP_FP
-    ANY_INT = IS_INT.any(axis=0)
-    ANY_FP = IS_FP.any(axis=0)
-
-    fetch_width = cfg.fetch_width
-    retire_width = cfg.retire_width
-    rob_entries = cfg.rob_entries
-    rows = np.arange(P)
-    alloc_cycle = np.zeros(P)
-    alloc_in = np.zeros(P, dtype=np.int64)
-    rob = np.zeros((P, rob_entries))
-    retire_ring = np.zeros((P, retire_width))
-    last_retire = np.zeros(P)
-    alu_free = np.zeros((P, cfg.int_alus))
-    fpu_free = np.zeros((P, cfg.fp_units))
-    finish = np.zeros((P, K + 1))
-    flat_finish = finish.reshape(-1)
-
-    # lanes are length-sorted, so the lanes still running at step k are
-    # exactly the first active_at[k] rows — every state slice is a view
-    active_at = np.searchsorted(-lens, -np.arange(K), side="left")
-    maximum = np.maximum
-    where = np.where
-    for k in range(K):
-        j = int(active_at[k])
-        r = rows[:j]
-        ac = alloc_cycle[:j]
-        ai = alloc_in[:j]
-
-        # -- allocate (fetch bandwidth, then ROB occupancy) ----------------
-        over = ai >= fetch_width
-        ac += over
-        ai *= ~over
-        rob_col = k % rob_entries  # insert slot; == ring head once full
-        if k >= rob_entries:
-            oldest = rob[:j, rob_col]
-            bump = oldest > ac
-            np.copyto(ac, oldest, where=bump)
-            ai *= ~bump
-        ai += 1
-
-        # -- operand readiness --------------------------------------------
-        ready = ac.copy()
-        src = SRC[:j, k]
-        for m in range(M):
-            maximum(ready, flat_finish.take(src[:, m]), out=ready)
-
-        # -- issue / execute ----------------------------------------------
-        start = ready
-        if ANY_INT[k]:
-            is_int = IS_INT[:j, k]
-            ia = alu_free[:j].argmin(axis=1)
-            iu = alu_free[r, ia]
-            int_start = maximum(ready, iu)
-            alu_free[r, ia] = where(is_int, int_start + 1, iu)
-            start = where(is_int, int_start, start)
-        if ANY_FP[k]:
-            is_fp = IS_FP[:j, k]
-            fa = fpu_free[:j].argmin(axis=1)
-            fu = fpu_free[r, fa]
-            fp_start = maximum(ready, fu)
-            fpu_free[r, fa] = where(is_fp, fp_start + 1, fu)
-            start = where(is_fp, fp_start, start)
-        done = start + LAT[:j, k]
-        finish[:j, k + 1] = done
-
-        # -- retire (in order, retire_width per cycle) ---------------------
-        ring_col = k % retire_width
-        retire = maximum(
-            maximum(done, last_retire[:j]), retire_ring[:j, ring_col] + 1
-        )
-        retire_ring[:j, ring_col] = retire
-        last_retire[:j] = retire
-        rob[:j, rob_col] = retire
-
-    for i, lane in enumerate(active):
-        lane.census.cycles = int(last_retire[i])
-        out[lane.key] = lane.census
-    return out

@@ -29,25 +29,18 @@ Two keying tiers:
   keying by object identity (the trace / profile / frame instance), which
   still gives full cross-strategy sharing within a pipeline.  CGRA
   schedules (``"schedule"``) and RLE views (``"rle"``) are always
-  identity-keyed.  The
-  vectorized OOO walk keeps two identity-only tables of its own, both
-  anchored on the profile: ``"ooo_columns"`` (compiled
-  :class:`~repro.sim.ooo_columns.CompiledPath` programs, keyed by the
-  host config and rounded fixed latency — rep counts deliberately
-  excluded, programs are rep-count independent) and ``"lane_tier"``
-  (the memoized walk-tier decision, so geometry heuristics are derived
-  once per (workload, config) rather than per call).
+  identity-keyed.
 
 The memo is picklable via :meth:`snapshot`/:meth:`merge` (content entries
 only), and pool workers ship their snapshots back with each result the
 same way obs registry snapshots travel, so the parent's memo warms up as
 a sharded sweep progresses.
 
-Kernel modes and keys: the ``trace_kernels`` mode ("rle", "events",
-"array") is deliberately *absent* from every memo key.  All kernel tiers
-produce bitwise-identical calibrations, path-cost tables and outcomes
-(property-tested three ways), so entries computed under one mode are
-valid under any other — a cache-served run therefore reports the mode it
+Kernel modes and keys: the ``trace_kernels`` mode ("rle" or "events")
+is deliberately *absent* from every memo key.  Both tiers produce
+bitwise-identical calibrations, path-cost tables and outcomes
+(property-tested, and pinned to the committed golden rows), so entries
+computed under one mode are valid under the other — a cache-served run therefore reports the mode it
 *would* have used via the ``sim.kernel_mode`` gauge, while the numbers
 themselves are mode-independent by construction.
 """

@@ -13,15 +13,22 @@ captured by amortising over repeated executions; memory latencies for both
 sides come from replaying the recorded address stream through the cache
 hierarchy (host port vs. uncore accelerator port) in one dual-port pass.
 
-Two performance layers keep whole-suite sweeps cheap without changing a
-single simulated number:
+Each simulation stage has one production implementation, and the
+``trace_kernels="events"`` mode swaps in the per-event reference oracle
+wherever one exists; the two modes give bitwise-identical numbers:
 
+* **memory calibration** — the closed-form
+  :func:`~repro.sim.cache.profile_stream_dual_array` (exact replay
+  fallback on inputs where a set could evict); the oracle is the exact
+  dual-port replay :func:`~repro.sim.cache.profile_stream_dual`;
 * **run-length trace kernels** — the trace accounting folds an integer
   :class:`~repro.sim.trace_kernels.ChargeCensus` instead of walking the
-  event stream, and the census comes from either the O(#runs) RLE kernel
-  (default) or the O(#events) reference kernel
-  (``trace_kernels="events"``); both produce the same census, so the
-  shared census→cycles/energy fold is bitwise-identical by construction;
+  event stream, and the census comes from the O(#runs) RLE kernel; the
+  oracle is the O(#events) reference kernel.  Both produce the same
+  census, so the shared census→cycles/energy fold is bitwise-identical
+  by construction;
+* **host path costs** — one :meth:`~repro.sim.core_ooo.OOOModel.simulate`
+  walk per profiled path, repeated back-to-back, in both modes;
 * **simulation memo** — calibration, per-path host costs, CGRA schedules
   and the braid's constituent recurrence are memoized per (input, config
   slice) in a :class:`~repro.sim.memo.SimulationMemo`, so the three
@@ -65,17 +72,14 @@ from ..obs.timeline import TimelineEvent
 from ..profiling.ranking import count_ops
 from ..interp.events import FunctionTrace
 from ..profiling.path_profile import PathProfile
-from .array_kernels import backend_name, census_from_segments_array
 from .cache import profile_stream_dual, profile_stream_dual_array
 from .config import DEFAULT_CONFIG, SystemConfig
 from .core_ooo import OOOModel, OOOResult
-from .ooo_columns import simulate_paths_tiered
 from .energy import EnergyModel
 from .memo import Calibration, SimulationMemo, content_key
 from .trace_kernels import (
     KERNEL_MODE_LABELS,
     KERNEL_MODES,
-    KERNELS_ARRAY,
     KERNELS_EVENTS,
     KERNELS_RLE,
     census_from_events,
@@ -188,12 +192,13 @@ class OffloadSimulator:
     ``memo``           a shared :class:`~repro.sim.memo.SimulationMemo`
                        (``None`` = a fresh private one; ``False`` =
                        disable memoization — every call recomputes).
-    ``trace_kernels``  ``"rle"`` (closed-form run folds, the default),
-                       ``"events"`` (the event-by-event reference path)
-                       or ``"array"`` (columnar batch kernels — numpy
-                       when available, batched pure Python otherwise).
-                       All three produce bitwise-identical outcomes;
-                       memo entries are therefore shared across modes.
+    ``trace_kernels``  ``"rle"`` (the production path: closed-form run
+                       folds and closed-form memory calibration, the
+                       default) or ``"events"`` (the per-event reference
+                       oracle: event-by-event accounting and the exact
+                       cache replay).  Both produce bitwise-identical
+                       outcomes; memo entries are therefore shared
+                       across modes.
     """
 
     def __init__(
@@ -229,7 +234,10 @@ class OffloadSimulator:
         A single dual-port pass over the recorded address stream yields
         average load latencies *and* the per-level access censuses (the
         simulated cache hit/miss numbers the obs layer reports); L1/L2
-        hit latencies when there is no stream.  Memoized per (workload,
+        hit latencies when there is no stream.  The production path is
+        the closed-form :func:`~repro.sim.cache.profile_stream_dual_array`;
+        the ``"events"`` reference mode replays the stream exactly with
+        :func:`~repro.sim.cache.profile_stream_dual`.  Memoized per (workload,
         memory config) — persistently through the artifact cache when
         ``artifact_key`` pins the workload's content — so the three
         offload strategies and any sweep point that keeps the memory
@@ -244,9 +252,9 @@ class OffloadSimulator:
             accel_levels: Dict[str, int] = {}
             if trace is not None and trace.memory:
                 profiler = (
-                    profile_stream_dual_array
-                    if self.trace_kernels == KERNELS_ARRAY
-                    else profile_stream_dual
+                    profile_stream_dual
+                    if self.trace_kernels == KERNELS_EVENTS
+                    else profile_stream_dual_array
                 )
                 host_prof, accel_prof = profiler(hier, trace.memory)
                 host_levels = dict(host_prof.level_counts)
@@ -287,57 +295,16 @@ class OffloadSimulator:
         averaged.  Memoized per (profile, host config, rounded load
         latency) — the OOO model only sees the rounded integer latency,
         so sweep points that round alike share one table.
-
-        Under the array kernel tier the replay dispatches through
-        :func:`~repro.sim.ooo_columns.simulate_paths_tiered`: the
-        vectorized columnar walk, the lockstep batch or the scalar
-        record walk, picked once per (profile, config) by
-        :func:`~repro.sim.ooo_columns.select_lane_tier` and recorded in
-        the ``sim.lane_tier`` obs counter (per simulated path, with the
-        tier, executing backend and heuristic rejection reason).  Every
-        tier returns the same bits, so the choice only moves time.
         """
         fixed_latency = max(1, int(round(host_load_latency)))
         host_cfg = repr(self.config.host)
 
         def compute() -> Dict[int, PathCost]:
             model = OOOModel(self.config.host, fixed_load_latency=fixed_latency)
-            plan = [
-                (
-                    pid,
-                    tuple(profile.decode(pid)),
-                    amortise_reps if count >= amortise_reps else 1,
-                )
-                for pid, count in profile.counts.items()
-            ]
-            if self.trace_kernels == KERNELS_ARRAY:
-                stats: Dict[str, object] = {}
-                results = simulate_paths_tiered(
-                    model, plan,
-                    memo=self.memo, anchor=profile,
-                    anchor_extra=(host_cfg, fixed_latency),
-                    stats=stats,
-                )
-                decision = stats.get("decision")
-                if decision is not None and _obs_enabled():
-                    _obs_counter(
-                        "sim.lane_tier", max(len(plan), 1),
-                        help="simulated paths per OOO walk tier "
-                             "(vector/batch/scalar), labelled with the "
-                             "executing backend and the heuristic "
-                             "rejection reason",
-                        tier=decision.tier,
-                        backend=decision.backend,
-                        reason=decision.reason,
-                    )
-            else:
-                results = {
-                    pid: model.simulate(list(blocks) * reps)
-                    for pid, blocks, reps in plan
-                }
             costs: Dict[int, PathCost] = {}
-            for pid, _blocks, reps in plan:
-                res = results[pid]
+            for pid, count in profile.counts.items():
+                reps = amortise_reps if count >= amortise_reps else 1
+                res = model.simulate(list(profile.decode(pid)) * reps)
                 per_exec = OOOResult()
                 for name in vars(per_exec):
                     setattr(per_exec, name, getattr(res, name) / reps)
@@ -728,7 +695,6 @@ class OffloadSimulator:
             OraclePredictor,
             evaluate_predictor,
             evaluate_predictor_runs,
-            evaluate_predictor_runs_array,
         )
 
         with _obs_span("simulate_offload", workload=workload,
@@ -738,7 +704,6 @@ class OffloadSimulator:
                 artifact_key,
                 CGRAScheduler, HistoryPredictor, OraclePredictor,
                 evaluate_predictor, evaluate_predictor_runs,
-                evaluate_predictor_runs_array,
             )
 
     def _simulate_offload(
@@ -755,21 +720,15 @@ class OffloadSimulator:
         OraclePredictor,
         evaluate_predictor,
         evaluate_predictor_runs,
-        evaluate_predictor_runs_array,
     ) -> OffloadOutcome:
         if _obs_enabled():
             _obs_gauge(
                 "sim.kernel_mode", 1.0,
-                help="which trace-kernel tier and backend produced this "
-                     "simulation (value is always 1; the labels carry "
-                     "the information)",
+                help="which trace-kernel tier produced this simulation "
+                     "(value is always 1; the label carries the "
+                     "information)",
                 workload=workload,
                 mode=KERNEL_MODE_LABELS[self.trace_kernels],
-                backend=(
-                    backend_name()
-                    if self.trace_kernels == KERNELS_ARRAY
-                    else "python"
-                ),
             )
         cal = self.calibrate(trace, artifact_key=artifact_key)
         costs = self.path_costs(
@@ -789,11 +748,10 @@ class OffloadSimulator:
             predictor = HistoryPredictor()
 
         # Classify every trace event into an integer ChargeCensus, via the
-        # O(#runs) RLE kernel, the columnar array kernels, or the
-        # O(#events) reference kernel.  All produce the same census
-        # (property-tested), and the shared fold below is the only place
-        # floats accumulate — so every kernel mode yields bitwise-
-        # identical outcomes by construction.
+        # O(#runs) RLE kernel or the O(#events) reference kernel.  Both
+        # produce the same census (property-tested), and the shared fold
+        # below is the only place floats accumulate — so both kernel
+        # modes yield bitwise-identical outcomes by construction.
         pipelined_cfg = self.config.offload.pipelined_invocations
         if self.trace_kernels == KERNELS_EVENTS:
             evaluation = evaluate_predictor(profile.trace, targets, predictor)
@@ -810,21 +768,10 @@ class OffloadSimulator:
                          "closed-form fold savings)",
                     workload=workload,
                 )
-            if self.trace_kernels == KERNELS_ARRAY:
-                run_eval = evaluate_predictor_runs_array(
-                    rle.runs, targets, predictor, columns=rle.columns()
-                )
-                census = census_from_segments_array(
-                    run_eval.segments, targets, pipelined_cfg,
-                    columns=run_eval.segment_columns,
-                )
-            else:
-                run_eval = evaluate_predictor_runs(
-                    rle.runs, targets, predictor
-                )
-                census = census_from_segments(
-                    run_eval.segments, targets, pipelined_cfg
-                )
+            run_eval = evaluate_predictor_runs(rle.runs, targets, predictor)
+            census = census_from_segments(
+                run_eval.segments, targets, pipelined_cfg
+            )
             precision = run_eval.precision
 
         # The reported totals are *defined as* the canonical fold of the

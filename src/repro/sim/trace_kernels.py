@@ -17,6 +17,14 @@ one deterministic summation order.  Equal censuses therefore give
 bitwise-equal floats; the property tests in
 ``tests/sim/test_trace_kernels.py`` enforce census equality across the
 suite and under seeded fault plans.
+
+There are exactly two kernel modes.  ``"rle"`` is the production path:
+:func:`~repro.accel.invocation.evaluate_predictor_runs` plus
+:func:`census_from_segments`.  ``"events"`` is the per-event reference
+oracle (:func:`~repro.accel.invocation.evaluate_predictor` plus
+:func:`census_from_events`); the simulator also switches memory
+calibration to the exact cache replay in that mode, so a reference run
+cross-checks every closed-form stage at once.
 """
 
 from __future__ import annotations
@@ -28,15 +36,13 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 #: kernel mode names (selectable via PipelineOptions.trace_kernels)
 KERNELS_RLE = "rle"
 KERNELS_EVENTS = "events"
-KERNELS_ARRAY = "array"
-KERNEL_MODES = (KERNELS_RLE, KERNELS_EVENTS, KERNELS_ARRAY)
+KERNEL_MODES = (KERNELS_RLE, KERNELS_EVENTS)
 
 #: mode -> label for the ``sim.kernel_mode`` gauge (the RLE tier reports
 #: as "runs": the gauge names what iterates, not the encoding)
 KERNEL_MODE_LABELS = {
     KERNELS_RLE: "runs",
     KERNELS_EVENTS: "events",
-    KERNELS_ARRAY: "array",
 }
 
 
@@ -71,27 +77,6 @@ class RLETrace:
             n_runs, n_events, longest = stats.get(pid, (0, 0, 0))
             stats[pid] = (n_runs + 1, n_events + length, max(longest, length))
         return stats
-
-    def columns(self):
-        """(pids, lengths) int64 columns of the run list, or ``None``
-        under the pure-Python backend.
-
-        Cached per backend on the instance (the trace is memoized and
-        shared across the three offload strategies, so the conversion
-        happens once per workload, not once per kernel call).  The cache
-        is keyed by backend name because the kernel-equality tests flip
-        backends on one process via ``FORCE_PYTHON_ENV``.
-        """
-        from .array_kernels import backend_name, runs_to_columns
-
-        key = backend_name()
-        cached = self.__dict__.get("_columns_cache")
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        cols = runs_to_columns(self.runs)
-        # frozen dataclass: write the cache through __dict__ directly
-        self.__dict__["_columns_cache"] = (key, cols)
-        return cols
 
 
 def run_length_encode(trace: Sequence[int]) -> RLETrace:
@@ -260,7 +245,6 @@ def census_from_segments(
 
 __all__ = [
     "ChargeCensus",
-    "KERNELS_ARRAY",
     "KERNELS_EVENTS",
     "KERNELS_RLE",
     "KERNEL_MODES",

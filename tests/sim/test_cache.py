@@ -1,4 +1,22 @@
-from repro.sim import Cache, CacheConfig, MemorySystem, MemoryHierarchyConfig
+import dataclasses
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import workloads
+from repro.sim import (
+    DEFAULT_CONFIG,
+    Cache,
+    CacheConfig,
+    MemoryHierarchyConfig,
+    MemorySystem,
+    profile_stream_dual,
+    profile_stream_dual_array,
+)
+from repro.sim import cache as cache_mod
+from repro.workloads.base import profile_workload
 
 
 def small_cache(sets=4, assoc=2, line=64):
@@ -96,3 +114,112 @@ def test_profile_stream():
     assert prof.loads == 2 and prof.stores == 1
     assert prof.avg_load_latency > 0
     assert sum(prof.level_counts.values()) == 3
+
+
+# -- closed-form calibration vs the exact dual-port replay ------------------
+
+#: the default hierarchy plus the memory design points of the benchmark's
+#: menu (small L1, slow L2, slow DRAM)
+HIERARCHIES = {
+    "default": DEFAULT_CONFIG.memory,
+    "l1_4k": dataclasses.replace(
+        DEFAULT_CONFIG.memory,
+        l1=CacheConfig(size_bytes=4 * 1024, associativity=2, latency=2),
+    ),
+    "l2_lat30": dataclasses.replace(
+        DEFAULT_CONFIG.memory,
+        l2=CacheConfig(size_bytes=2 * 1024 * 1024, associativity=8,
+                       latency=30),
+    ),
+    "dram200": dataclasses.replace(DEFAULT_CONFIG.memory, dram_latency=200),
+}
+
+
+def _assert_same_profiles(hier, stream):
+    closed = profile_stream_dual_array(hier, stream)
+    exact = profile_stream_dual(hier, stream)
+    for got, want in zip(closed, exact):
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+def _fallbacks(hier, stream):
+    """Exact-replay fallbacks the closed form takes on ``stream``."""
+    with mock.patch.object(cache_mod, "profile_stream_dual",
+                           wraps=profile_stream_dual) as spy:
+        profile_stream_dual_array(hier, stream)
+    return spy.call_count
+
+
+@pytest.mark.parametrize("hier", list(HIERARCHIES.values()),
+                         ids=list(HIERARCHIES))
+def test_closed_form_calibration_matches_replay_on_suite(hier):
+    for name in workloads.all_names():
+        stream = profile_workload(workloads.get(name)).trace.memory
+        _assert_same_profiles(hier, stream)
+    # an empty stream takes the exact replay
+    assert _fallbacks(hier, []) == 1
+    _assert_same_profiles(hier, [])
+
+
+def _accesses(lines):
+    return st.lists(st.tuples(st.sampled_from(["load", "store"]),
+                              st.sampled_from(lines),
+                              st.integers(0, 63)))
+
+
+def _stream(prefix, forced, suffix):
+    return [(op, line * 64 + off) for op, line, off in prefix + forced + suffix]
+
+
+#: L1 of 4 sets x 2 ways: lines 0, 4 and 8 all land in set 0
+SMALL_L1 = dataclasses.replace(
+    DEFAULT_CONFIG.memory,
+    l1=CacheConfig(size_bytes=512, associativity=2, latency=2),
+)
+#: generous L1, but an L2 of 2 banks x 2 sets x 1 way: lines 0 and 2 share
+#: bank 0, set 0
+TINY_L2 = MemoryHierarchyConfig(
+    l1=CacheConfig(size_bytes=16 * 8 * 64, associativity=8, latency=2),
+    l2=CacheConfig(size_bytes=256, associativity=1, latency=20),
+    l2_banks=2,
+)
+#: 32-byte L1 lines over 64-byte L2 lines
+SPLIT_LINES = dataclasses.replace(
+    DEFAULT_CONFIG.memory,
+    l1=CacheConfig(size_bytes=64 * 1024, associativity=4, line_bytes=32,
+                   latency=2),
+)
+
+
+@settings(deadline=None)
+@given(_accesses(range(64)).filter(bool))
+def test_closed_form_calibration_without_fallback(accesses):
+    stream = _stream(accesses, [], [])
+    assert _fallbacks(DEFAULT_CONFIG.memory, stream) == 0
+    _assert_same_profiles(DEFAULT_CONFIG.memory, stream)
+
+
+@settings(deadline=None)
+@given(_accesses(range(64)), _accesses(range(64)))
+def test_closed_form_calibration_l1_set_overflow(prefix, suffix):
+    forced = [("load", 0, 0), ("store", 4, 8), ("load", 8, 16)]
+    stream = _stream(prefix, forced, suffix)
+    assert _fallbacks(SMALL_L1, stream) == 1
+    _assert_same_profiles(SMALL_L1, stream)
+
+
+@settings(deadline=None)
+@given(_accesses(range(32)), _accesses(range(32)))
+def test_closed_form_calibration_l2_bank_set_overflow(prefix, suffix):
+    forced = [("store", 0, 0), ("load", 2, 4)]
+    stream = _stream(prefix, forced, suffix)
+    assert _fallbacks(TINY_L2, stream) == 1
+    _assert_same_profiles(TINY_L2, stream)
+
+
+@settings(deadline=None)
+@given(_accesses(range(64)))
+def test_closed_form_calibration_line_size_mismatch(accesses):
+    stream = _stream(accesses, [], [])
+    assert _fallbacks(SPLIT_LINES, stream) == 1
+    _assert_same_profiles(SPLIT_LINES, stream)

@@ -1,72 +1,46 @@
-"""Property tests: RLE and array trace kernels vs the event reference.
+"""Property tests: the run-length trace kernels vs the event reference.
 
-The perf claim of the run-length and array kernels is only worth having
-if the fast paths are *bit-identical* to the reference — same predictor
-census, same charge census, same OffloadOutcome floats.  These tests
-enforce that equivalence from three angles: pure RLE round-trips,
-three-way predictor/census evaluation over random traces (hypothesis,
-under both the numpy and the forced pure-Python backend), and full
-simulator outcomes on real suite workloads under all three kernel
-modes.
+The perf claim of the run-length kernels is only worth having if the
+fast path is *bit-identical* to the reference — same predictor census,
+same charge census, same OffloadOutcome floats.  These tests enforce
+that equivalence from three angles: pure RLE round-trips, predictor and
+census evaluation over random traces (hypothesis), and full simulator
+outcomes on real suite workloads under both kernel modes.  The suite
+rows of both modes are also pinned to the committed golden digests, so
+a change that shifts both tiers alike fails here too.
 """
 
+import dataclasses
+import importlib.util
 import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import workloads
+from repro import evaluate_suite, workloads
 from repro.accel.invocation import (
     HistoryPredictor,
     OraclePredictor,
     evaluate_predictor,
     evaluate_predictor_runs,
-    evaluate_predictor_runs_array,
 )
+from repro.cli import main
 from repro.frames import build_frame
 from repro.options import PipelineOptions
 from repro.pipeline import NeedlePipeline
 from repro.profiling import rank_paths
 from repro.regions import path_to_region
 from repro.sim import (
+    DEFAULT_CONFIG,
     ChargeCensus,
-    FORCE_PYTHON_ENV,
-    KERNELS_ARRAY,
     KERNELS_EVENTS,
     KERNELS_RLE,
     OffloadSimulator,
     census_from_events,
     census_from_segments,
-    census_from_segments_array,
     run_length_encode,
-    runs_to_columns,
 )
-from repro.sim.array_kernels import get_numpy
-
-
-@contextmanager
-def _backend(pure: bool):
-    """Pin the array-kernel backend; restores the prior env on exit."""
-    prev = os.environ.get(FORCE_PYTHON_ENV)
-    try:
-        if pure:
-            os.environ[FORCE_PYTHON_ENV] = "1"
-        else:
-            os.environ.pop(FORCE_PYTHON_ENV, None)
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(FORCE_PYTHON_ENV, None)
-        else:
-            os.environ[FORCE_PYTHON_ENV] = prev
-
-
-#: both backends; without numpy installed the False leg degrades to the
-#: pure-Python fallback too, which is exactly what the no-numpy CI job
-#: relies on
-BACKENDS = (False, True)
 
 # traces built from runs: long stretches of one path id exercise the
 # closed-form tail, short stutters exercise the explicit prefix
@@ -145,15 +119,17 @@ def test_run_eval_matches_event_eval(trace, targets, history_length):
 
 
 @settings(deadline=None)
-@given(run_traces, target_sets, st.booleans(), st.integers(1, 4))
-def test_census_kernels_agree(trace, targets, pipelined, history_length):
+@given(run_traces, target_sets, st.booleans(), st.integers(1, 4),
+       st.integers(0, 2))
+def test_census_kernels_agree(trace, targets, pipelined, history_length,
+                              make):
     ev = evaluate_predictor(
-        trace, targets, HistoryPredictor(history_length=history_length),
+        trace, targets, list(_predictors(targets, history_length))[make],
         history_length,
     )
     run_ev = evaluate_predictor_runs(
         run_length_encode(trace).runs, targets,
-        HistoryPredictor(history_length=history_length), history_length,
+        list(_predictors(targets, history_length))[make], history_length,
     )
     slow = census_from_events(trace, ev.decisions, targets, pipelined)
     fast = census_from_segments(run_ev.segments, targets, pipelined)
@@ -175,77 +151,6 @@ def test_census_oracle_never_fails(trace, targets):
     assert not census.failures
 
 
-# -- three-way equality: events vs runs vs array, both backends -------------
-
-
-def _counters(ev):
-    return (ev.true_positives, ev.false_positives,
-            ev.true_negatives, ev.false_negatives)
-
-
-@settings(deadline=None)
-@given(run_traces, target_sets, st.integers(1, 4), st.sampled_from(BACKENDS))
-def test_predictor_replay_three_way(trace, targets, history_length, pure):
-    with _backend(pure):
-        runs = run_length_encode(trace).runs
-        cols = runs_to_columns(runs)
-        for make in range(3):
-            ev = evaluate_predictor(
-                trace, targets,
-                list(_predictors(targets, history_length))[make],
-                history_length,
-            )
-            run_ev = evaluate_predictor_runs(
-                runs, targets,
-                list(_predictors(targets, history_length))[make],
-                history_length,
-            )
-            arr_ev = evaluate_predictor_runs_array(
-                runs, targets,
-                list(_predictors(targets, history_length))[make],
-                history_length, columns=cols,
-            )
-            assert _counters(run_ev) == _counters(ev)
-            assert _counters(arr_ev) == _counters(ev)
-            # the array segments expand to the exact decision stream too
-            expanded = [
-                (pid, bool(invoke))
-                for pid, invoke, length in arr_ev.segments
-                for _ in range(length)
-            ]
-            assert expanded == list(zip(trace, ev.decisions))
-
-
-@settings(deadline=None)
-@given(run_traces, target_sets, st.booleans(), st.integers(1, 4),
-       st.sampled_from(BACKENDS), st.integers(0, 2))
-def test_census_three_way(trace, targets, pipelined, history_length, pure,
-                          make):
-    with _backend(pure):
-        runs = run_length_encode(trace).runs
-        ev = evaluate_predictor(
-            trace, targets,
-            list(_predictors(targets, history_length))[make], history_length,
-        )
-        arr_ev = evaluate_predictor_runs_array(
-            runs, targets,
-            list(_predictors(targets, history_length))[make], history_length,
-            columns=runs_to_columns(runs),
-        )
-        slow = census_from_events(trace, ev.decisions, targets, pipelined)
-        # array fold through the columnar fast path and through the
-        # per-segment conversion path must both match the reference
-        with_cols = census_from_segments_array(
-            arr_ev.segments, targets, pipelined,
-            columns=arr_ev.segment_columns,
-        )
-        without_cols = census_from_segments_array(
-            arr_ev.segments, targets, pipelined
-        )
-        assert with_cols == slow
-        assert without_cols == slow
-
-
 # -- empty traces and zero-length runs are guarded everywhere ---------------
 
 
@@ -255,80 +160,54 @@ def test_empty_trace_guards():
     assert rle.rle_ratio == 1.0
     assert rle.expand() == []
     assert rle.per_pid_run_stats() == {}
+    for predictor in (OraclePredictor({1}), HistoryPredictor()):
+        ev = evaluate_predictor_runs(rle.runs, {1}, predictor)
+        assert ev.segments == []
+        assert (ev.true_positives, ev.false_positives,
+                ev.true_negatives, ev.false_negatives) == (0, 0, 0, 0)
+    assert census_from_segments([], {1}, True) == ChargeCensus()
 
 
-@pytest.mark.parametrize("pure", BACKENDS)
-def test_empty_trace_array_kernels(pure):
-    with _backend(pure):
-        rle = run_length_encode([])
-        cols = rle.columns()
-        if pure or get_numpy() is None:
-            assert cols is None
-        for predictor in (OraclePredictor({1}), HistoryPredictor()):
-            ev = evaluate_predictor_runs_array(
-                rle.runs, {1}, predictor, columns=cols
-            )
-            assert _counters(ev) == (0, 0, 0, 0)
-            assert ev.segments == []
-        assert census_from_segments([], {1}, True) == ChargeCensus()
-        assert census_from_segments_array([], {1}, True) == ChargeCensus()
-
-
-@pytest.mark.parametrize("pure", BACKENDS)
-def test_zero_length_segments_charge_nothing(pure):
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_zero_length_segments_charge_nothing(pipelined):
     segs = [(1, True, 0), (2, False, 0)]
-    cols = ([1, 2], [True, False], [0, 0])
-    with _backend(pure):
-        assert census_from_segments(segs, {1}, True) == ChargeCensus()
-        assert census_from_segments_array(
-            segs, {1}, True, columns=cols
-        ) == ChargeCensus()
-
-
-def test_columns_cache_keyed_by_backend():
-    rle = run_length_encode([1, 1, 2, 2, 2, 1])
-    with _backend(True):
-        assert rle.columns() is None
-        assert rle.columns() is None  # cached miss stays a miss
-    with _backend(False):
-        cols = rle.columns()
-        if get_numpy() is None:
-            assert cols is None
-        else:
-            assert cols is rle.columns()  # cache hit returns same object
-            pids, lens = cols
-            assert pids.tolist() == [1, 2, 1]
-            assert lens.tolist() == [2, 3, 1]
-    with _backend(True):
-        assert rle.columns() is None  # backend flip invalidates
+    assert census_from_segments(segs, {1}, pipelined) == ChargeCensus()
 
 
 # -- full simulator: kernel modes are bitwise-identical ---------------------
 
 
-def test_invalid_kernel_mode_rejected():
-    with pytest.raises(ValueError):
-        OffloadSimulator(trace_kernels="bogus")
+def test_invalid_kernel_mode_rejected(capsys):
+    # "array" names the columnar tier that no longer exists
+    for mode in ("bogus", "array"):
+        with pytest.raises(ValueError):
+            OffloadSimulator(trace_kernels=mode)
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "dwt53", "--no-cache", "--trace-kernels", mode])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def _outcome_bits(outcome):
     return vars(outcome).copy()
 
 
-@pytest.mark.parametrize("pure", BACKENDS)
-def test_kernel_modes_identical_on_fixture(profiled_anticorrelated, pure):
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_kernel_modes_identical_on_fixture(profiled_anticorrelated, pipelined):
     m, fn, pp, ep = profiled_anticorrelated
     frame = build_frame(path_to_region(fn, rank_paths(pp)[0]))
-    with _backend(pure):
-        rle_sim = OffloadSimulator(trace_kernels=KERNELS_RLE)
-        ev_sim = OffloadSimulator(trace_kernels=KERNELS_EVENTS)
-        arr_sim = OffloadSimulator(trace_kernels=KERNELS_ARRAY)
-        for predictor in ("oracle", "history"):
-            a = rle_sim.simulate_offload("anticorr", pp, frame, predictor)
-            b = ev_sim.simulate_offload("anticorr", pp, frame, predictor)
-            c = arr_sim.simulate_offload("anticorr", pp, frame, predictor)
-            assert _outcome_bits(a) == _outcome_bits(b)
-            assert _outcome_bits(c) == _outcome_bits(b)
+    config = dataclasses.replace(
+        DEFAULT_CONFIG,
+        offload=dataclasses.replace(
+            DEFAULT_CONFIG.offload, pipelined_invocations=pipelined
+        ),
+    )
+    rle_sim = OffloadSimulator(config, trace_kernels=KERNELS_RLE)
+    ev_sim = OffloadSimulator(config, trace_kernels=KERNELS_EVENTS)
+    for predictor in ("oracle", "history"):
+        a = rle_sim.simulate_offload("anticorr", pp, frame, predictor)
+        b = ev_sim.simulate_offload("anticorr", pp, frame, predictor)
+        assert _outcome_bits(a) == _outcome_bits(b)
 
 
 #: structurally diverse suite slice (same rationale as
@@ -350,31 +229,42 @@ def _flatten(ev):
     }
 
 
-def _evaluate(names, **option_kwargs):
-    pipe = NeedlePipeline(
-        options=PipelineOptions(no_cache=True, **option_kwargs)
+def _perfbench_rows():
+    """The benchmark's row canonicaliser (``perfbench/rows.py``), loaded
+    by path so its digests are the ones ``golden.json`` was written with."""
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, os.pardir, "perfbench",
+        "rows.py",
     )
-    return [pipe.evaluate(workloads.get(name)) for name in names]
+    spec = importlib.util.spec_from_file_location("perfbench_rows", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_kernel_modes_identical_across_suite_slice():
-    events = _evaluate(SUITE_SLICE, trace_kernels="events")
-    rle = _evaluate(SUITE_SLICE, trace_kernels="rle")
-    array = _evaluate(SUITE_SLICE, trace_kernels="array")
-    with _backend(True):
-        array_pure = _evaluate(SUITE_SLICE, trace_kernels="array")
-    for ref, a, b, c in zip(events, rle, array, array_pure):
-        flat = _flatten(ref)
-        assert _flatten(a) == flat
-        assert _flatten(b) == flat
-        assert _flatten(c) == flat
+def test_suite_rows_match_golden_on_both_tiers():
+    # absolute pin: every default-config row of the production tier and
+    # of the reference tier must hash to the committed golden digest,
+    # not merely agree with each other
+    rows = _perfbench_rows()
+    golden = rows.load_golden()["default"]
+    for tier in (
+        PipelineOptions(no_cache=True),
+        PipelineOptions(no_cache=True, trace_kernels=KERNELS_EVENTS,
+                        no_sim_memo=True),
+    ):
+        got = {ev.name: rows.digest(ev)
+               for ev in evaluate_suite(options=tier)}
+        assert set(got) == set(golden)
+        mismatched = sorted(n for n in golden if got[n] != golden[n])
+        assert mismatched == [], tier.trace_kernels
 
 
 @pytest.mark.chaos
-def test_array_kernels_identical_under_injected_faults():
+def test_kernel_modes_identical_under_injected_faults():
     # a worker crash on the first attempt forces run_failsafe to retry in
-    # a fresh process; the retried array-mode evaluation must still be
-    # bitwise-identical to the RLE tier's fault-free rows
+    # a fresh process; the retried reference-tier evaluation must still be
+    # bitwise-identical to the production tier's fault-free rows
     from repro.resilience.faults import SITE_WORKER_CRASH, FaultPlan, FaultSpec
     from repro.resilience.runner import WorkloadFailure
 
@@ -383,16 +273,16 @@ def test_array_kernels_identical_under_injected_faults():
                   attempts=(0,)),
     ))
 
-    def run(mode):
+    def run(mode, fault_plan):
         pipe = NeedlePipeline(options=PipelineOptions(
             no_cache=True, trace_kernels=mode, jobs=2, retries=1,
-            fault_plan=plan,
+            fault_plan=fault_plan,
         ))
         return pipe.evaluate_all([workloads.get(n) for n in SUITE_SLICE])
 
-    rle_rows = run("rle")
-    arr_rows = run("array")
-    for a, b in zip(rle_rows, arr_rows):
+    rle_rows = run(KERNELS_RLE, None)
+    events_rows = run(KERNELS_EVENTS, plan)
+    for a, b in zip(rle_rows, events_rows):
         assert not isinstance(a, WorkloadFailure)
         assert not isinstance(b, WorkloadFailure)
         assert _flatten(b) == _flatten(a)
@@ -401,10 +291,8 @@ def test_array_kernels_identical_under_injected_faults():
 # -- sim.kernel_mode gauge: recomputed and cache-served runs ----------------
 
 
-@pytest.mark.parametrize("mode,pure", [
-    ("rle", False), ("array", False), ("array", True),
-])
-def test_kernel_mode_gauge_covers_cached_and_recomputed(tmp_path, mode, pure):
+@pytest.mark.parametrize("mode", [KERNELS_RLE, KERNELS_EVENTS])
+def test_kernel_mode_gauge_covers_cached_and_recomputed(tmp_path, mode):
     from repro import obs
     from repro.artifacts import ArtifactCache
     from repro.obs import export
@@ -412,35 +300,30 @@ def test_kernel_mode_gauge_covers_cached_and_recomputed(tmp_path, mode, pure):
 
     name = "dwt53"
     cache_dir = str(tmp_path / "cache")
-    with _backend(pure):
-        label = KERNEL_MODE_LABELS[mode]
-        backend = (
-            "numpy" if mode == "array" and not pure and get_numpy() is not None
-            else "python"
-        )
+    label = KERNEL_MODE_LABELS[mode]
 
-        def run():
-            with obs.scoped() as reg:
-                pipe = NeedlePipeline(
-                    cache=ArtifactCache(cache_dir),
-                    options=PipelineOptions(trace_kernels=mode),
-                )
-                pipe.evaluate(workloads.get(name))
-            return reg
+    def run():
+        with obs.scoped() as reg:
+            pipe = NeedlePipeline(
+                cache=ArtifactCache(cache_dir),
+                options=PipelineOptions(trace_kernels=mode),
+            )
+            pipe.evaluate(workloads.get(name))
+        return reg
 
-        recomputed = run()
-        served = run()
+    recomputed = run()
+    served = run()
 
-        # second run really was served from the artifact cache
-        outcome = served.get("pipeline.cache_outcome")
-        assert outcome.value(workload=name, outcome="artifact-cache") == 1
+    # second run really was served from the artifact cache
+    outcome = served.get("pipeline.cache_outcome")
+    assert outcome.value(workload=name, outcome="artifact-cache") == 1
 
-        for reg in (recomputed, served):
-            g = reg.get("sim.kernel_mode")
-            assert g is not None
-            assert g.value(workload=name, mode=label, backend=backend) == 1.0
+    for reg in (recomputed, served):
+        g = reg.get("sim.kernel_mode")
+        assert g is not None
+        assert g.value(workload=name, mode=label) == 1.0
 
-        # and the gauge renders in the `repro metrics` text surface
-        text = export.render_metrics(served)
-        assert "sim.kernel_mode" in text
-        assert "mode=%s" % label in text
+    # and the gauge renders in the `repro metrics` text surface
+    text = export.render_metrics(served)
+    assert "sim.kernel_mode" in text
+    assert "mode=%s" % label in text
