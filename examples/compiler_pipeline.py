@@ -10,9 +10,9 @@ Run:  python examples/compiler_pipeline.py
 """
 
 from repro.frames import build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
+from repro.interp import Interpreter, TraceRecorder
 from repro.ir import format_function, parse_module, verify_module
-from repro.profiling import PathProfiler, rank_paths
+from repro.profiling import derive_path_profile, rank_paths
 from repro.regions import build_braids
 from repro.sim import OffloadSimulator
 from repro.transforms import inline_all, optimize, unroll_hottest_loop
@@ -83,10 +83,9 @@ def main():
     print(format_function(hot))
 
     # profile -> braid -> frame -> simulate
-    profiler = PathProfiler([hot])
     recorder = TraceRecorder([hot])
-    Interpreter(module, tracer=MultiTracer(profiler, recorder)).run("hot", [500])
-    profile = profiler.profile_for(hot)
+    Interpreter(module, tracer=recorder).run("hot", [500])
+    profile = derive_path_profile(hot, recorder.traces[hot])
     ranked = rank_paths(profile)
     print("\npaths after transforms: %d executed" % profile.executed_paths)
     for p in ranked[:3]:

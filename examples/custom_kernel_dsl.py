@@ -9,8 +9,8 @@ Run:  python examples/custom_kernel_dsl.py
 """
 
 from repro.frames import build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
-from repro.profiling import PathProfiler, rank_paths
+from repro.interp import Interpreter, TraceRecorder
+from repro.profiling import derive_path_profile, rank_paths
 from repro.regions import build_braids
 from repro.sim import OffloadSimulator
 from repro.workloads import (
@@ -54,10 +54,9 @@ def main():
         return_var="pix",
     )
 
-    profiler = PathProfiler([fn])
     recorder = TraceRecorder([fn])
-    Interpreter(module, tracer=MultiTracer(profiler, recorder)).run(fn, [1024])
-    profile = profiler.profile_for(fn)
+    Interpreter(module, tracer=recorder).run(fn, [1024])
+    profile = derive_path_profile(fn, recorder.traces[fn])
     ranked = rank_paths(profile)
 
     print("paths executed:", profile.executed_paths)

@@ -9,9 +9,9 @@ Run:  python examples/quickstart.py
 """
 
 from repro.frames import FrameExecutor, build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
+from repro.interp import Interpreter, TraceRecorder
 from repro.ir import Constant, I32, IRBuilder, Module, format_function, verify_function
-from repro.profiling import PathProfiler, rank_paths
+from repro.profiling import derive_path_profile, rank_paths
 from repro.regions import build_braids
 from repro.sim import OffloadSimulator
 
@@ -83,12 +83,11 @@ def main():
     print("=== the kernel ===")
     print(format_function(fn))
 
-    # 1. profile Ball-Larus paths
-    profiler = PathProfiler([fn])
+    # 1. record the block trace, derive the Ball-Larus path profile from it
     recorder = TraceRecorder([fn])
-    interp = Interpreter(m, tracer=MultiTracer(profiler, recorder))
+    interp = Interpreter(m, tracer=recorder)
     result = interp.run("histogram", [400])
-    profile = profiler.profile_for(fn)
+    profile = derive_path_profile(fn, recorder.traces[fn])
     print("\n=== profiling ===")
     print("kernel returned:", result)
     print("executed paths:", profile.executed_paths,

@@ -1,7 +1,7 @@
 """Concrete execution of the mini IR: memory model, interpreter, tracing."""
 
 from .memory import Memory, MemoryError_
-from .events import FunctionTrace, MultiTracer, TraceRecorder, Tracer
+from .events import FunctionTrace, TraceRecorder, Tracer
 from .interpreter import FuelExhausted, Interpreter, InterpreterError
 from .stats import OpMix, OpMixTracer
 
@@ -12,7 +12,6 @@ __all__ = [
     "InterpreterError",
     "Memory",
     "MemoryError_",
-    "MultiTracer",
     "OpMix",
     "OpMixTracer",
     "TraceRecorder",

@@ -7,8 +7,14 @@ from .ball_larus import (
     EXIT,
     PathNumberingError,
 )
-from .path_profile import PathProfile, PathProfiler, profile_paths
-from .edge_profile import EdgeProfile, EdgeProfiler
+from .path_profile import (
+    PathProfile,
+    PathProfiler,
+    ReentrantTraceError,
+    derive_path_profile,
+    profile_paths,
+)
+from .edge_profile import EdgeProfile, EdgeProfiler, derive_edge_profile
 from .ranking import (
     RankedPath,
     count_ops,
@@ -36,10 +42,13 @@ __all__ = [
     "PathProfiler",
     "PathTraceAnalysis",
     "RankedPath",
+    "ReentrantTraceError",
     "SamplingComparison",
     "SuccessorStats",
     "compare_frequency_vs_sampling",
     "count_ops",
+    "derive_edge_profile",
+    "derive_path_profile",
     "function_weight",
     "latency_weight",
     "path_overlap_count",

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from ..interp.events import Tracer
+from ..interp.events import FunctionTrace, Tracer
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import CondBranch
+from .path_profile import bad_transition, require_derivable
 
 
 @dataclass
@@ -82,8 +84,48 @@ class EdgeProfile:
         return best
 
 
+def derive_edge_profile(fn: Function, trace: FunctionTrace) -> EdgeProfile:
+    """The :class:`EdgeProfile` an :class:`EdgeProfiler` would have collected
+    on the run that recorded ``trace``.
+
+    One counting pass over the block stream's transitions yields both edge
+    and block counts: every executed block is the target of exactly one
+    transition, from its predecessor or from an invocation boundary
+    (``None``).  A two-way branch's outcome is the edge it took;
+    same-target branches read the outcomes the recorder kept for them.
+    """
+    require_derivable(trace)
+    blocks = trace.blocks
+    profile = EdgeProfile(fn)
+    block_counts, edge_counts = profile.block_counts, profile.edge_counts
+    taken, not_taken = profile.branch_taken, profile.branch_not_taken
+    for (src, dst), n in Counter(zip(chain((None,), blocks), blocks)).items():
+        if dst is None:
+            continue  # an invocation boundary
+        block_counts[dst] += n
+        if src is None:
+            continue
+        term = src.terminator
+        if term is None or dst not in term.successors:
+            raise bad_transition(fn, src, dst)
+        edge_counts[(src, dst)] = n
+        if (isinstance(term, CondBranch)
+                and term.true_target is not term.false_target):
+            if dst is term.true_target:
+                taken[src] = n
+            else:
+                not_taken[src] = n
+    for (block, was_taken), n in trace.branch_outcomes.items():
+        (taken if was_taken else not_taken)[block] += n
+    return profile
+
+
 class EdgeProfiler(Tracer):
-    """Tracer that accumulates :class:`EdgeProfile` s."""
+    """Tracer that accumulates :class:`EdgeProfile` s, live.
+
+    The reference for :func:`derive_edge_profile`; production profiling
+    records a trace and derives instead.
+    """
 
     def __init__(self, functions: Optional[List[Function]] = None):
         self.filter = set(functions) if functions is not None else None

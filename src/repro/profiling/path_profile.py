@@ -1,23 +1,34 @@
-"""Runtime path-profile collection over the interpreter's trace stream.
+"""Ball–Larus path profiles, derived from a recorded block trace.
 
-:class:`PathProfiler` implements Ball–Larus instrumentation semantics as a
-tracer: a path register ``r`` per activation, incremented with edge values,
-flushed to the profile when a back edge fires or the function returns.  It
-simultaneously records the *path trace* — the sequence of completed path ids
-— which §IV.A's target-expansion analysis consumes.
+Ball–Larus instrumentation keeps a path register ``r`` per activation,
+incremented with edge values and flushed to the profile when a back edge
+fires or the function returns.  The flushes in order form the *path trace*
+— the sequence of completed path ids — which §IV.A's target-expansion
+analysis consumes.
+
+:func:`derive_path_profile` replays those semantics over a
+:class:`~repro.interp.events.FunctionTrace` in one pass, one table lookup
+per block, so a profiling run records only the block trace.
+:class:`PathProfiler` applies the same semantics live, as a tracer; it is
+the reference the derivation is tested against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from ..interp.events import Tracer
+from ..interp.events import FunctionTrace, Tracer
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..obs import counter as _obs_counter, enabled as _obs_enabled
-from .ball_larus import BallLarusNumbering
+from .ball_larus import BallLarusNumbering, PathNumberingError
+
+
+class ReentrantTraceError(PathNumberingError):
+    """A trace whose activations interleave cannot be derived."""
 
 
 @dataclass
@@ -63,8 +74,81 @@ class PathProfile:
         return blocks
 
 
+def require_derivable(trace: FunctionTrace) -> None:
+    """Raise :class:`ReentrantTraceError` unless ``trace``'s block stream
+    splits into whole activations."""
+    if trace.reentrant:
+        raise ReentrantTraceError(
+            "trace of %s interleaves activations (re-entrant call or an "
+            "aborted run); derive from a live profiler instead"
+            % trace.function.name
+        )
+
+
+def _transition_table(numbering: BallLarusNumbering) -> dict:
+    """Path-register step for every transition a trace may contain.
+
+    Keys are ``(prev, block)``, with ``None`` for an invocation boundary:
+    ``(None, entry)`` starts an invocation and ``(ret_block, None)`` ends
+    one.  Values are ``(flush, value)``.  With ``flush`` None the register
+    grows by ``value`` (a DAG edge).  Otherwise path ``register + flush``
+    completes and the register restarts at ``value`` (a back edge, or a
+    return).
+    """
+    cfg = numbering.cfg
+    # an invocation starts its register at 0, as PathProfiler does
+    table = {(None, cfg.entry): (None, 0)}
+    for src, dst in cfg.edges():
+        if numbering.is_back_edge(src, dst):
+            table[(src, dst)] = (numbering.back_edge_counter_value(src),
+                                 numbering.back_edge_reset_value(dst))
+        else:
+            table[(src, dst)] = (None, numbering.edge_value(src, dst))
+    for ret_block in cfg.exits():
+        table[(ret_block, None)] = (numbering.exit_value(ret_block), 0)
+    return table
+
+
+def bad_transition(fn: Function, prev, block) -> PathNumberingError:
+    """The error for a trace step that no execution of ``fn`` can take."""
+    if prev is None:
+        what = "an invocation starting at %s" % getattr(block, "name", block)
+    elif block is None:
+        what = "an invocation ending at %s, which does not return" % prev.name
+    else:
+        what = "%s -> %s, which is not a CFG edge" % (prev.name, block.name)
+    return PathNumberingError("trace of %s steps through %s" % (fn.name, what))
+
+
+def derive_path_profile(fn: Function, trace: FunctionTrace) -> PathProfile:
+    """The :class:`PathProfile` a :class:`PathProfiler` would have collected
+    on the run that recorded ``trace``: same counts, same path trace."""
+    require_derivable(trace)
+    numbering = BallLarusNumbering(fn)
+    blocks = trace.blocks
+    path_trace: List[int] = []
+    if blocks:
+        steps = map(_transition_table(numbering).__getitem__,
+                    zip(chain((None,), blocks), chain(blocks, (None,))))
+        append = path_trace.append
+        register = 0
+        try:
+            for flush, value in steps:
+                if flush is None:
+                    register += value
+                else:
+                    append(register + flush)
+                    register = value
+        except KeyError as missing:
+            raise bad_transition(fn, *missing.args[0]) from None
+    return PathProfile(fn, numbering, Counter(path_trace), path_trace)
+
+
 class PathProfiler(Tracer):
-    """Collects Ball–Larus path profiles for selected functions.
+    """Collects Ball–Larus path profiles for selected functions, live.
+
+    The reference for :func:`derive_path_profile`; production profiling
+    records a trace and derives instead.
 
     Activations are kept on a stack so traced functions may call each other
     (or themselves) while each activation maintains its own path register.
@@ -140,4 +224,10 @@ def profile_paths(module, fn_name: str, args, interpreter_cls=None, **interp_kwa
     return profiler.profiles[fn]
 
 
-__all__ = ["PathProfile", "PathProfiler", "profile_paths"]
+__all__ = [
+    "PathProfile",
+    "PathProfiler",
+    "ReentrantTraceError",
+    "derive_path_profile",
+    "profile_paths",
+]

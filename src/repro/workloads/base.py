@@ -2,7 +2,8 @@
 
 A :class:`Workload` names one of the paper's 29 benchmarks and knows how to
 build its synthetic hot-function stand-in.  :func:`profile_workload` runs
-the instrumented interpreter once and returns everything the experiments
+the interpreter once with a trace recorder, derives the path and edge
+profiles from the recorded trace, and returns everything the experiments
 need: the path profile, edge profile, full trace and the hot function.
 Profiles are cached per workload because several tables/figures reuse them.
 """
@@ -12,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-from ..interp.events import FunctionTrace, MultiTracer, TraceRecorder
+from ..interp.events import FunctionTrace, TraceRecorder
 from ..interp.interpreter import Interpreter
 from ..ir.function import Function
 from ..ir.module import Module
 from ..obs import counter as _obs_counter, enabled as _obs_enabled, span as _obs_span
-from ..profiling.edge_profile import EdgeProfile, EdgeProfiler
-from ..profiling.path_profile import PathProfile, PathProfiler
+from ..profiling.edge_profile import EdgeProfile, derive_edge_profile
+from ..profiling.path_profile import PathProfile, derive_path_profile
 
 
 @dataclass
@@ -72,7 +73,7 @@ def profile_workload(
     ``artifact_cache`` (an :class:`~repro.artifacts.ArtifactCache`) layers a
     persistent on-disk store under the in-memory cache: the profile is keyed
     by the workload's IR text and run arguments, so a warm cache skips the
-    instrumented interpreter run entirely.  Profiles are config-independent,
+    profiling interpreter run entirely.  Profiles are config-independent,
     hence the key carries no SystemConfig fingerprint.
     """
     if use_cache and workload.name in _PROFILE_CACHE:
@@ -101,18 +102,19 @@ def profile_workload(
 
     with _obs_span("profile", workload=workload.name):
         module, fn, args = built
-        paths = PathProfiler([fn])
-        edges = EdgeProfiler([fn])
         recorder = TraceRecorder([fn])
-        interp = Interpreter(module, tracer=MultiTracer(paths, edges, recorder))
-        result = interp.run(fn, args)
+        result = Interpreter(module, tracer=recorder).run(fn, args)
+        trace = recorder.traces[fn]
+        with _obs_span("profile.derive", workload=workload.name):
+            paths = derive_path_profile(fn, trace)
+            edges = derive_edge_profile(fn, trace)
     profiled = ProfiledWorkload(
         workload=workload,
         module=module,
         function=fn,
-        paths=paths.profile_for(fn),
-        edges=edges.profile_for(fn),
-        trace=recorder.traces[fn],
+        paths=paths,
+        edges=edges,
+        trace=trace,
         result=result,
         artifact_key=key,
     )
@@ -124,7 +126,8 @@ def profile_workload(
                      workload=workload.name, outcome="instrumented-run")
         _obs_counter("profile.runtime.path_executions",
                      profiled.paths.total_executions,
-                     help="paths flushed by live instrumented runs",
+                     help="Ball-Larus paths derived from recorded "
+                          "profiling runs",
                      workload=workload.name)
         for opcode, n in sorted(opcode_census(profiled.trace).items()):
             _obs_counter("interp.runtime.opcode_executions", n,

@@ -218,8 +218,8 @@ def array_sum():
 
 # -- region/profiling fixtures (shared by frames/accel/sim tests) --------
 
-from repro.interp import Interpreter, MultiTracer
-from repro.profiling import EdgeProfiler, PathProfiler
+from repro.interp import FunctionTrace, Interpreter, TraceRecorder
+from repro.profiling import derive_edge_profile, derive_path_profile
 
 
 def build_anticorrelated():
@@ -303,12 +303,14 @@ def build_anticorrelated():
 
 
 def profile_function(m, fn, runs):
-    pp = PathProfiler([fn])
-    ep = EdgeProfiler([fn])
-    interp = Interpreter(m, tracer=MultiTracer(pp, ep))
+    """Path and edge profiles of ``runs`` (argument lists) on one
+    interpreter, derived from its recorded trace as production does."""
+    rec = TraceRecorder([fn])
+    interp = Interpreter(m, tracer=rec)
     for args in runs:
         interp.run(fn.name, args)
-    return pp.profile_for(fn), ep.profile_for(fn)
+    trace = rec.traces.get(fn, FunctionTrace(fn))  # empty when never run
+    return derive_path_profile(fn, trace), derive_edge_profile(fn, trace)
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@ import pytest
 from repro.interp import (
     Interpreter,
     InterpreterError,
-    MultiTracer,
     TraceRecorder,
     Tracer,
 )
@@ -26,10 +25,9 @@ def test_undef_operand_reads_zero():
     assert Interpreter(m).run("f", []) == 5
 
 
-def test_multitracer_fans_out(counted_loop):
+def test_tracer_hooks_fire_per_event(counted_loop):
     m, fn = counted_loop
-    r1 = TraceRecorder([fn])
-    r2 = TraceRecorder([fn])
+    rec = TraceRecorder([fn])
 
     class Counting(Tracer):
         def __init__(self):
@@ -55,9 +53,11 @@ def test_multitracer_fans_out(counted_loop):
             self.mems += 1
 
     c = Counting()
-    Interpreter(m, tracer=MultiTracer(r1, r2, c)).run("loop", [5])
-    assert r1.traces[fn].dynamic_instructions == r2.traces[fn].dynamic_instructions
-    assert c.blocks == len([b for b in r1.traces[fn].blocks if b is not None])
+    Interpreter(m, tracer=rec).run("loop", [5])
+    Interpreter(m, tracer=c).run("loop", [5])
+    trace = rec.traces[fn]
+    assert c.blocks == len([b for b in trace.blocks if b is not None])
+    assert c.mems == len(trace.memory)
     assert c.entries == 1 and c.exits == 1
     assert c.branches > 0
 

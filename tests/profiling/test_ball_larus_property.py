@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.interp import Interpreter, TraceRecorder
 from repro.ir import Constant, I32, IRBuilder, Module, verify_function
-from repro.profiling import BallLarusNumbering, PathProfiler
+from repro.profiling import BallLarusNumbering, derive_path_profile
 
 
 class _RandomFunctionBuilder:
@@ -138,14 +138,11 @@ def test_decode_encode_bijection(shapes, values):
 )
 def test_profiled_paths_reassemble_execution(shapes, values, a, b):
     m, fn = _RandomFunctionBuilder(shapes, values).build()
-    profiler = PathProfiler([fn])
     recorder = TraceRecorder([fn])
-    from repro.interp import MultiTracer
-
-    interp = Interpreter(m, tracer=MultiTracer(profiler, recorder), fuel=2_000_000)
+    interp = Interpreter(m, tracer=recorder, fuel=2_000_000)
     interp.run("f", [a, b])
 
-    profile = profiler.profiles[fn]
+    profile = derive_path_profile(fn, recorder.traces[fn])
     executed = [blk for blk in recorder.traces[fn].blocks if blk is not None]
 
     # concatenating decoded paths in trace order must equal the block stream

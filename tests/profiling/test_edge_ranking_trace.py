@@ -1,7 +1,5 @@
-from repro.interp import Interpreter, MultiTracer
+from repro.interp import Interpreter
 from repro.profiling import (
-    EdgeProfiler,
-    PathProfiler,
     PathTraceAnalysis,
     compare_frequency_vs_sampling,
     count_ops,
@@ -13,14 +11,7 @@ from repro.profiling import (
     top_k_coverage,
 )
 
-
-def _profile(m, fn, runs):
-    pp = PathProfiler([fn])
-    ep = EdgeProfiler([fn])
-    interp = Interpreter(m, tracer=MultiTracer(pp, ep))
-    for args in runs:
-        interp.run(fn.name, args)
-    return pp.profile_for(fn), ep.profile_for(fn)
+from tests.conftest import profile_function as _profile
 
 
 def test_edge_profile_counts(diamond):

@@ -1,7 +1,7 @@
 from repro.frames import build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
+from repro.interp import Interpreter, TraceRecorder
 from repro.ir import Constant, F64, I32, IRBuilder, Module, verify_function
-from repro.profiling import PathProfiler, rank_paths
+from repro.profiling import derive_path_profile, rank_paths
 from repro.regions import build_braids, path_to_region
 from repro.sim import EnergyBreakdown, EnergyModel, OffloadSimulator, DEFAULT_CONFIG
 
@@ -49,10 +49,10 @@ def _ilp_kernel():
 
 
 def _profile_with_trace(m, fn, args):
-    pp = PathProfiler([fn])
     rec = TraceRecorder([fn])
-    Interpreter(m, tracer=MultiTracer(pp, rec)).run(fn.name, args)
-    return pp.profile_for(fn), rec.traces[fn]
+    Interpreter(m, tracer=rec).run(fn.name, args)
+    trace = rec.traces[fn]
+    return derive_path_profile(fn, trace), trace
 
 
 def test_offload_improves_ilp_kernel():

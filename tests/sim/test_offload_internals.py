@@ -6,10 +6,10 @@ import pytest
 from repro import obs
 from repro.accel import CGRAScheduler, CyclicFrameError
 from repro.frames import build_frame
-from repro.interp import Interpreter, MultiTracer, TraceRecorder
+from repro.interp import Interpreter, TraceRecorder
 from repro.options import PipelineOptions
 from repro.pipeline import NeedlePipeline
-from repro.profiling import PathProfiler, rank_paths
+from repro.profiling import derive_path_profile, rank_paths
 from repro.regions import build_braids, path_to_region
 from repro.sim import OffloadSimulator
 from repro.workloads import get
@@ -19,10 +19,10 @@ from tests.conftest import build_counted_loop
 
 def _profiled(build, args):
     m, fn = build()
-    pp = PathProfiler([fn])
     rec = TraceRecorder([fn])
-    Interpreter(m, tracer=MultiTracer(pp, rec)).run(fn.name, args)
-    return m, fn, pp.profile_for(fn), rec.traces[fn]
+    Interpreter(m, tracer=rec).run(fn.name, args)
+    trace = rec.traces[fn]
+    return m, fn, derive_path_profile(fn, trace), trace
 
 
 def test_path_costs_cover_every_path():

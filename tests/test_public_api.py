@@ -46,8 +46,56 @@ PUBLIC_API = [
 ]
 
 
+#: the tracing and profiling subpackage surfaces, locked the same way
+SUBPACKAGE_API = {
+    "interp": [
+        "FuelExhausted",
+        "FunctionTrace",
+        "Interpreter",
+        "InterpreterError",
+        "Memory",
+        "MemoryError_",
+        "OpMix",
+        "OpMixTracer",
+        "TraceRecorder",
+        "Tracer",
+    ],
+    "profiling": [
+        "BallLarusNumbering",
+        "ENTRY",
+        "EXIT",
+        "EdgeProfile",
+        "EdgeProfiler",
+        "PathNumberingError",
+        "PathProfile",
+        "PathProfiler",
+        "PathTraceAnalysis",
+        "RankedPath",
+        "ReentrantTraceError",
+        "SamplingComparison",
+        "SuccessorStats",
+        "compare_frequency_vs_sampling",
+        "count_ops",
+        "derive_edge_profile",
+        "derive_path_profile",
+        "function_weight",
+        "latency_weight",
+        "path_overlap_count",
+        "profile_paths",
+        "rank_paths",
+        "sample_path_profile",
+        "top_k_coverage",
+    ],
+}
+
+
 def test_all_matches_locked_surface():
     assert repro.__all__ == PUBLIC_API
+
+
+def test_subpackage_all_matches_locked_surface():
+    for name, names in SUBPACKAGE_API.items():
+        assert getattr(repro, name).__all__ == names, name
 
 
 def test_every_exported_name_resolves():
