@@ -13,9 +13,8 @@ Times cold serial evaluation of the full suite twice in one process:
   collected for the whole run.  Fault injection stays off: chaos plans
   are a test-time tool, never part of the measured production modes.
 * **bus-enabled** — live telemetry on (``obs`` still disabled): ambient
-  event bus with a JSONL sink, progress aggregation and an atomic
-  progress file, exactly what ``--events-out``/``--progress-out``
-  switch on.  Gated against no-op at ``--bus-budget`` (default 3%).
+  event bus with a JSONL sink, exactly what ``--events-out`` switches
+  on.  Gated against no-op at ``--bus-budget`` (default 3%).
 
 Run as a script (CI does)::
 
@@ -62,9 +61,9 @@ def recorded_cold_serial():
 def time_suite(enabled: bool, repeats: int, telemetry_dir=None) -> float:
     """Best-of-``repeats`` cold serial evaluation of the full suite.
 
-    ``telemetry_dir`` turns the live-telemetry stack on for the run —
-    ambient event bus, JSONL sink and progress-file aggregation — via
-    the same options surface the CLI flags use.
+    ``telemetry_dir`` turns live telemetry on for the run — ambient
+    event bus and JSONL sink — via the same options surface the CLI
+    flags use.
     """
     from repro import NeedlePipeline, obs, suite
     from repro.options import PipelineOptions
@@ -89,7 +88,6 @@ def time_suite(enabled: bool, repeats: int, telemetry_dir=None) -> float:
             opts = PipelineOptions(
                 no_cache=True,
                 events_out=os.path.join(telemetry_dir, "events.jsonl"),
-                progress_out=os.path.join(telemetry_dir, "progress.json"),
             )
             pipeline = opts.build_pipeline()
         t0 = time.perf_counter()

@@ -11,8 +11,8 @@ trace [WORKLOAD]     evaluate with instrumentation on; print the span tree
                      (or --format chrome for a Perfetto-loadable trace)
 report table [W]     paper-style cycle/energy attribution tables (ledger)
 report diff A B      compare two metric snapshots; exit 1 on regression
-top SOURCE           live one-screen view of a running sweep (reads a
-                     --serve-metrics endpoint or a --progress-out file)
+top EVENTS.jsonl     one-screen progress view of a sweep, folded from
+                     the event log it writes with --events-out
 
 ``analyze`` and ``evaluate`` persist profiles and evaluation results in a
 content-addressed artifact cache (default ``~/.cache/repro-needle``, or
@@ -43,15 +43,12 @@ prints the resume command, and exits with code 75; the
 ``--max-total-failures`` / ``--max-consecutive-failures`` circuit
 breaker aborts a doomed suite early (docs/resilience.md).
 
-Suite sweeps can carry *live telemetry* (docs/observability.md): a
-typed event bus with worker heartbeats and stall detection, exposed via
-``--serve-metrics [HOST:]PORT`` (Prometheus ``/metrics`` + JSON
-``/progress`` + ``/healthz``, loopback-bound by default),
-``--progress-out progress.json`` (atomic snapshots), ``--events-out``
-(gapless JSONL event log) and ``--live`` (in-terminal view).  ``repro
-top SOURCE`` renders the same view from a running sweep's endpoint or
-progress file.  All of it is wall-clock-only: semantic output is
-byte-identical with telemetry on or off.  The global ``--log-level``
+Suite sweeps can carry *live telemetry* (docs/observability.md):
+``--events-out EVENTS.jsonl`` appends a typed, gapless event log with
+worker heartbeats and stall detection, and ``repro top EVENTS.jsonl``
+folds that log into a one-screen progress view, while the sweep runs
+or after.  It is wall-clock-only: semantic output is byte-identical
+with telemetry on or off.  The global ``--log-level``
 flag (or ``$REPRO_LOG_LEVEL``) configures logging in one place.
 """
 
@@ -455,11 +452,11 @@ def _cmd_report_diff(args) -> int:
 
 
 def _cmd_top(args) -> int:
-    """Render the live sweep view from an endpoint or progress file."""
+    """Render the sweep view folded from an events JSONL log."""
     from .obs.top import run_top
 
     try:
-        return run_top(args.source, interval=args.interval, once=args.once)
+        return run_top(args.events, interval=args.interval, once=args.once)
     except KeyboardInterrupt:
         return 0
 
@@ -601,12 +598,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "top",
-        help="live one-screen view of a running sweep",
+        help="one-screen progress view of a sweep's event log",
     )
     p.add_argument(
-        "source",
-        help="progress source: a --serve-metrics PORT / HOST:PORT / URL, "
-        "or a --progress-out progress.json path",
+        "events",
+        metavar="EVENTS.jsonl",
+        help="the event log a sweep writes with --events-out (the last "
+        "run in the file is shown)",
     )
     p.add_argument(
         "--interval",

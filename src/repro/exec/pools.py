@@ -176,7 +176,7 @@ class Pool:
     # -- heartbeats --------------------------------------------------------
 
     def set_heartbeat(self, period: Optional[float]) -> None:
-        """Ask workers to report (task, phase, elapsed) every ``period``
+        """Ask workers to report (task, elapsed) every ``period``
         seconds.  Call before :meth:`start`.  Silently ignored on
         non-preemptive backends — a serial "worker" is the caller, so
         there is nobody to hear the beat (and nothing to do about a
@@ -189,8 +189,8 @@ class Pool:
         """Latest heartbeat per running ticket:
         ``{ticket: (seen_monotonic, payload, worker_name)}``.
 
-        ``payload`` is the worker's report — ``{"elapsed": s, "phase":
-        name}``.  Entries disappear when their task completes or its
+        ``payload`` is the worker's report — ``{"elapsed": s}``.
+        Entries disappear when their task completes or its
         worker is retired, so a ticket present here is believed alive.
         """
         return dict(self._heartbeats)
@@ -268,12 +268,9 @@ class _Beat:
 
     The loop marks the running ticket with :meth:`begin`/:meth:`end`;
     every ``period`` seconds the beat thread emits ``(ticket,
-    {"elapsed", "phase"})`` through the pool's normal result channel.
-    ``phase`` is whatever the task last declared via
-    :func:`repro.exec.worker.set_phase` ("run" until it says
-    otherwise).  Emission failures stop the beat silently — a broken
-    channel means the parent is gone and the worker is about to die
-    anyway.
+    {"elapsed"})`` through the pool's normal result channel.  Emission
+    failures stop the beat silently — a broken channel means the parent
+    is gone and the worker is about to die anyway.
     """
 
     def __init__(self, period: float, emit) -> None:
@@ -282,7 +279,6 @@ class _Beat:
         self._lock = threading.Lock()
         self._ticket: Optional[int] = None
         self._since = 0.0
-        self.phase = "run"
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._loop, name="repro-pool-beat", daemon=True)
@@ -294,11 +290,8 @@ class _Beat:
         with self._lock:
             self._ticket = ticket
             self._since = time.monotonic()
-            self.phase = "run"
-        worker_context.attach_beat(self)
 
     def end(self) -> None:
-        worker_context.attach_beat(None)
         with self._lock:
             self._ticket = None
 
@@ -308,10 +301,7 @@ class _Beat:
                 ticket = self._ticket
                 if ticket is None:
                     continue
-                payload = {
-                    "elapsed": round(time.monotonic() - self._since, 3),
-                    "phase": self.phase,
-                }
+                payload = {"elapsed": round(time.monotonic() - self._since, 3)}
             try:
                 self._emit(ticket, payload)
             except Exception:

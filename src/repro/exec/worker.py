@@ -26,14 +26,12 @@ import threading
 
 __all__ = [
     "WorkerCrashed",
-    "attach_beat",
     "crash",
     "current",
     "enter",
     "kind",
     "leave",
     "preemptive",
-    "set_phase",
 ]
 
 
@@ -58,7 +56,6 @@ class WorkerCrashed(RuntimeError):
 class _Context(threading.local):
     kind = "none"          # none | serial | thread | process
     preemptive = False
-    beat = None            # the pool's heartbeat reporter, when enabled
 
 
 _CTX = _Context()
@@ -74,28 +71,6 @@ def leave() -> None:
     """Clear the worker context for the current thread."""
     _CTX.kind = "none"
     _CTX.preemptive = False
-    _CTX.beat = None
-
-
-def attach_beat(beat) -> None:
-    """Bind (or clear, with ``None``) this thread's heartbeat reporter.
-
-    Called by the pool worker loops when heartbeats are enabled; task
-    code never calls this directly — it uses :func:`set_phase`.
-    """
-    _CTX.beat = beat
-
-
-def set_phase(phase: str) -> None:
-    """Label what the current task is doing in its heartbeats.
-
-    Purely cosmetic telemetry for `repro top`'s phase column: a no-op
-    unless this thread is a pool worker with heartbeats enabled, so
-    stage code can call it unconditionally.
-    """
-    beat = _CTX.beat
-    if beat is not None:
-        beat.phase = str(phase)
 
 
 def kind() -> str:

@@ -1,12 +1,13 @@
-"""Typed, bounded in-process event bus: the live layer under `repro.obs`.
+"""Typed in-process event bus: the live layer under `repro.obs`.
 
 Every other observability surface in this repo — metric registries, the
 attribution ledger, Chrome-trace timelines — is an *end-of-run
 snapshot*.  The event bus is the complement: a stream of small, typed
 lifecycle events (`run_started`, `task_scheduled`, `worker_heartbeat`,
-…) published while a sweep runs, consumed by the live progress
-aggregator (:mod:`repro.obs.live`), the opt-in HTTP endpoint
-(:mod:`repro.obs.http`) and an optional JSONL sink on disk.
+…) published while a sweep runs and appended to one JSONL log
+(``--events-out``).  That log is the one live-telemetry record; every
+view of it — ``repro top``'s progress screen included — is a fold of
+the file (:mod:`repro.obs.top`).
 
 Design constraints, in order:
 
@@ -18,29 +19,25 @@ Design constraints, in order:
   instrumentation surface; with no bus installed it is one attribute
   read and one ``None`` test — the same no-op discipline as
   :func:`repro.obs.counter`.
-* **Bounded.**  The in-memory ring keeps the last ``capacity`` events;
-  a mis-sized consumer can never balloon driver memory.  The JSONL sink
-  (when attached) receives *every* event, so the on-disk log is the
-  complete, gapless record even after the ring wraps.
 * **Typed.**  :func:`EventBus.publish` rejects unknown kinds loudly —
-  the schema below is the contract `progress.json` and `repro top`
-  build on, not a free-form logging channel.
+  the schema below is the contract `repro top` builds on, not a
+  free-form logging channel.
 
 Sequence numbers are monotonic and gapless per bus (hence per run):
-consumers can detect loss, and the JSONL log replays in exact
+readers can detect loss, and the JSONL log replays in exact
 publication order.
 """
 
 from __future__ import annotations
 
-import collections
 import io
 import itertools
 import json
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Iterator, Optional
 
 # -- the event vocabulary ----------------------------------------------------
 
@@ -75,10 +72,6 @@ KINDS = frozenset((
     CACHE_MISS,
     JOURNAL_RECORD,
 ))
-
-#: default ring capacity; the JSONL sink is unbounded regardless
-DEFAULT_CAPACITY = 4096
-
 
 class UnknownEventKind(ValueError):
     """An event was published with a kind outside :data:`KINDS`."""
@@ -131,28 +124,19 @@ class Event:
 
 
 class EventBus:
-    """Thread-safe bounded event stream with subscribers and a JSONL sink.
+    """Thread-safe typed event stream with an optional JSONL sink.
 
-    Publication order is total: the lock serialises ``seq`` assignment,
-    ring append, sink write and subscriber callbacks, so every consumer
-    observes the same gapless sequence.  Subscribers must therefore be
-    fast and must never publish back into the bus (that would deadlock
-    by design — the aggregator folds, it does not speak).
+    Publication order is total: the lock serialises ``seq`` assignment
+    and the sink write, so the log holds one gapless sequence however
+    many threads publish (pool threads publish cache events).
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, run_id: str = "",
-                 clock: Callable[[], float] = time.time):
+    def __init__(self, run_id: str = ""):
         self.run_id = run_id
-        self.capacity = max(1, int(capacity))
-        self._clock = clock
         self._lock = threading.Lock()
         self._seq = itertools.count()
-        self._ring: collections.deque = collections.deque(maxlen=self.capacity)
-        self._subscribers: List[Callable[[Event], None]] = []
         self._sink: Optional[io.TextIOBase] = None
         self._sink_owned = False
-        #: total events ever published (>= len(ring) once the ring wraps)
-        self.published = 0
 
     # -- sink ----------------------------------------------------------------
 
@@ -166,17 +150,6 @@ class EventBus:
             else:
                 self._sink = target
                 self._sink_owned = False
-
-    # -- subscribers ---------------------------------------------------------
-
-    def subscribe(self, callback: Callable[[Event], None]) -> None:
-        with self._lock:
-            self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[Event], None]) -> None:
-        with self._lock:
-            if callback in self._subscribers:
-                self._subscribers.remove(callback)
 
     # -- publication ---------------------------------------------------------
 
@@ -194,44 +167,20 @@ class EventBus:
         with self._lock:
             event = Event(
                 seq=next(self._seq),
-                ts=self._clock(),
+                ts=time.time(),
                 kind=kind,
                 key=key,
                 data=data,
             )
-            self._ring.append(event)
-            self.published += 1
             if self._sink is not None:
                 try:
                     self._sink.write(event.to_json() + "\n")
                     self._sink.flush()
                 except (OSError, ValueError):
                     # a dead sink must never take the sweep down; drop
-                    # it and keep the in-memory stream alive
+                    # it and keep publishing
                     self._sink = None
-            subscribers = list(self._subscribers)
-        for callback in subscribers:
-            try:
-                callback(event)
-            except Exception:
-                # live telemetry is best-effort by contract: a broken
-                # consumer loses its own view, never the run
-                pass
         return event
-
-    # -- reading -------------------------------------------------------------
-
-    def events(self, since: Optional[int] = None) -> List[Event]:
-        """Snapshot of the retained ring, optionally only ``seq > since``."""
-        with self._lock:
-            if since is None:
-                return list(self._ring)
-            return [e for e in self._ring if e.seq > since]
-
-    def last_seq(self) -> int:
-        """Highest sequence number published so far (-1 when empty)."""
-        with self._lock:
-            return self._ring[-1].seq if self._ring else -1
 
     def close(self) -> None:
         with self._lock:
@@ -280,10 +229,36 @@ def publish(kind: str, key: str = "", /, **data) -> Optional[Event]:
     return bus.publish(kind, key, **data)
 
 
+@contextmanager
+def session(events_out: str, run_id: str = "") -> Iterator[EventBus]:
+    """Record one sweep's events to the JSONL log at ``events_out``.
+
+    Installs a fresh bus as the ambient one for the duration, streaming
+    to the log, and on every exit path publishes the terminal
+    ``run_finished`` with a status derived from how the sweep ended —
+    ``finished`` on clean return, ``drained`` on a graceful-shutdown
+    interrupt (SweepDrained subclasses KeyboardInterrupt), ``aborted``
+    on any other exception — before restoring the previous bus.
+    """
+    bus = EventBus(run_id=run_id)
+    bus.attach_jsonl(events_out)
+    previous = install(bus)
+    status = "aborted"
+    try:
+        yield bus
+        status = "finished"
+    except KeyboardInterrupt:
+        status = "drained"
+        raise
+    finally:
+        bus.publish(RUN_FINISHED, run_id, status=status)
+        uninstall(previous)
+        bus.close()
+
+
 __all__ = [
     "CACHE_HIT",
     "CACHE_MISS",
-    "DEFAULT_CAPACITY",
     "Event",
     "EventBus",
     "JOURNAL_RECORD",
@@ -302,5 +277,6 @@ __all__ = [
     "active",
     "install",
     "publish",
+    "session",
     "uninstall",
 ]

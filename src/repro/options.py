@@ -112,26 +112,17 @@ class PipelineOptions:
                      this many failed attempts in total (``None`` = off).
     ``max_consecutive_failures`` circuit breaker: abort after this many
                      consecutive failed attempts (``None`` = off).
-    ``serve_metrics`` serve ``/metrics`` (Prometheus), ``/progress``
-                     (JSON) and ``/healthz`` over HTTP while the sweep
-                     runs (``"[HOST:]PORT"``; binds 127.0.0.1 unless a
-                     host is given).
-    ``progress_out`` atomically rewrite a live ``progress.json``
-                     snapshot at this path during the sweep (what
-                     ``repro top`` reads without the endpoint).
-    ``events_out``   append every telemetry event to this JSONL file
-                     (complete, gapless, replayable).
-    ``live``         repaint a one-screen live progress view on stderr
-                     while the sweep runs.
+    ``events_out``   append every live-telemetry event to this JSONL
+                     file (complete, gapless, replayable; ``repro top
+                     EVENTS.jsonl`` folds it into a progress view).
     ``heartbeat``    worker heartbeat period in seconds for live
                      telemetry (preemptive pools only).
     ``stall_after``  flag a worker silent this long as stalled
                      (``None`` = 5x the heartbeat period).
 
-    The ``serve_metrics``/``progress_out``/``events_out``/``live`` group
-    is wall-clock-only telemetry: semantic output — evaluation records,
-    semantic metrics, the attribution ledger — is byte-identical with it
-    on or off.
+    ``events_out`` and its heartbeats are wall-clock-only telemetry:
+    semantic output — evaluation records, semantic metrics, the
+    attribution ledger — is byte-identical with them on or off.
     """
 
     config: Optional[SystemConfig] = None
@@ -154,10 +145,7 @@ class PipelineOptions:
     drain_timeout: float = 10.0
     max_total_failures: Optional[int] = None
     max_consecutive_failures: Optional[int] = None
-    serve_metrics: Optional[str] = None
-    progress_out: Optional[str] = None
     events_out: Optional[str] = None
-    live: bool = False
     heartbeat: float = 1.0
     stall_after: Optional[float] = None
 
@@ -165,27 +153,17 @@ class PipelineOptions:
 
     @property
     def wants_metrics(self) -> bool:
-        """Does this run need instrumentation turned on?
-
-        The live endpoint implies it: ``/metrics`` scrapes the registry,
-        so serving without collecting would expose an empty page.
-        """
+        """Does this run need instrumentation turned on?"""
         return (
             self.metrics
             or self.metrics_out is not None
             or self.timeline_out is not None
-            or self.serve_metrics is not None
         )
 
     @property
     def wants_telemetry(self) -> bool:
-        """Should sweeps run inside a live telemetry session?"""
-        return (
-            self.serve_metrics is not None
-            or self.progress_out is not None
-            or self.events_out is not None
-            or self.live
-        )
+        """Should sweeps record their events to a JSONL log?"""
+        return self.events_out is not None
 
     @property
     def heartbeat_period(self) -> Optional[float]:
@@ -329,32 +307,11 @@ class PipelineOptions:
                 "attempts with no success in between",
             )
             parser.add_argument(
-                "--serve-metrics",
-                default=None,
-                metavar="[HOST:]PORT",
-                help="serve /metrics (Prometheus), /progress (JSON) and "
-                "/healthz over HTTP while the sweep runs; binds "
-                "127.0.0.1 unless HOST is given",
-            )
-            parser.add_argument(
-                "--progress-out",
-                default=None,
-                metavar="PATH",
-                help="atomically rewrite a live progress.json snapshot "
-                "at PATH during the sweep (readable by 'repro top')",
-            )
-            parser.add_argument(
                 "--events-out",
                 default=None,
                 metavar="PATH",
                 help="append every telemetry event to PATH as JSONL "
-                "(complete and gapless; replayable)",
-            )
-            parser.add_argument(
-                "--live",
-                action="store_true",
-                help="repaint a one-screen live progress view on stderr "
-                "while the sweep runs",
+                "(complete and gapless; watch it with 'repro top PATH')",
             )
             parser.add_argument(
                 "--heartbeat",

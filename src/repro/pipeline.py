@@ -39,11 +39,11 @@ attached (:class:`~repro.resilience.WorkloadExecutionError`).
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -60,7 +60,7 @@ from .exec import worker as _exec_worker
 from .exec.pools import SerialPool
 from .frames.frame import Frame, build_frame
 from .obs.instruments import publish_workload_evaluation
-from .options import PipelineOptions, validate_jobs, validate_pool
+from .options import PipelineOptions, validate_pool
 from .profiling.ranking import RankedPath, rank_paths
 from .resilience import faults as _faults
 from .resilience.faults import (
@@ -95,10 +95,6 @@ from .sim.trace_kernels import KERNEL_MODE_LABELS
 from .workloads.base import ProfiledWorkload, Workload, profile_workload
 
 log = logging.getLogger(__name__)
-
-#: distinguishes "caller passed jobs explicitly" (deprecated) from the
-#: default of deferring to ``PipelineOptions``
-_UNSET = object()
 
 
 @dataclass
@@ -242,7 +238,7 @@ class WorkloadEvaluation:
     """Step 3 products: the Fig. 9 / Fig. 10 data points.
 
     Every field is a flat summary dataclass, so evaluations pickle cheaply
-    — that is what lets ``evaluate_all(jobs=N)`` ship them between worker
+    — that is what lets a ``jobs=N`` sweep ship them between worker
     processes and the artifact cache persist them verbatim.
     """
 
@@ -463,14 +459,13 @@ class NeedlePipeline:
 
     # -- suite sweeps -----------------------------------------------------------------
 
-    def analyse_all(self, workloads, jobs=_UNSET) -> List[WorkloadAnalysis]:
+    def analyse_all(self, workloads) -> List[WorkloadAnalysis]:
         """Analyse a suite; :class:`~repro.options.PipelineOptions`
         decides the pool backend and width (see :meth:`evaluate_all`)."""
-        return self._sweep(
-            "analyse", _analyse_worker, self._analyses, workloads, jobs
-        )
+        return self._sweep("analyse", _analyse_worker, self._analyses,
+                           workloads)
 
-    def evaluate_all(self, workloads, jobs=_UNSET) -> List[WorkloadEvaluation]:
+    def evaluate_all(self, workloads) -> List[WorkloadEvaluation]:
         """Evaluate a suite, sharded over the configured worker pool.
 
         ``PipelineOptions(jobs=N, pool=...)`` drives execution: ``pool``
@@ -482,9 +477,6 @@ class NeedlePipeline:
         pool only changes *where* a workload is computed.  Invalid
         ``jobs`` values (< 1) warn and fall back to serial.
 
-        Passing ``jobs=`` here directly is deprecated — configure the
-        pipeline's options instead.
-
         A workload that keeps failing (exception, timeout, worker crash)
         is retried per :class:`~repro.options.PipelineOptions` and then
         quarantined: its slot in the returned list holds a
@@ -492,22 +484,10 @@ class NeedlePipeline:
         the sweep.  With ``fail_fast`` the first failure raises
         :class:`~repro.resilience.WorkloadExecutionError`.
         """
-        return self._sweep(
-            "evaluate", _evaluate_worker, self._evaluations, workloads, jobs
-        )
+        return self._sweep("evaluate", _evaluate_worker, self._evaluations,
+                           workloads)
 
     # -- fan-out helpers ----------------------------------------------------
-
-    def _resolve_jobs(self, jobs, method: str) -> Optional[int]:
-        if jobs is _UNSET:
-            return self.options.normalized_jobs()
-        warnings.warn(
-            "%s_all(jobs=N) is deprecated; configure the sweep with "
-            "PipelineOptions(jobs=..., pool=...) instead" % method,
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        return validate_jobs(jobs)
 
     def _execution_plan(self, jobs: Optional[int], n_todo: int):
         """Resolve ``(backend name, pool width)`` for a sweep with
@@ -530,9 +510,9 @@ class NeedlePipeline:
             return "serial", 1
         return backend, min(jobs, n_todo)
 
-    def _sweep(self, method, worker_fn, memo: Dict, workloads, jobs) -> List:
+    def _sweep(self, method, worker_fn, memo: Dict, workloads) -> List:
         workloads = list(workloads)
-        jobs = self._resolve_jobs(jobs, method)
+        jobs = self.options.normalized_jobs()
         # journaling (and therefore resume) applies to evaluation sweeps:
         # those are the long batch jobs whose partial results are worth
         # keeping; analyse memos are a cheap byproduct of evaluation
@@ -548,24 +528,21 @@ class NeedlePipeline:
             journal.scheduled([w.name for w in todo])
             drain = DrainController(timeout=self.options.drain_timeout)
             signal_scope = drain_on_signals(drain)
-        # live telemetry rides alongside the sweep: a bus + aggregator
-        # (+ optional HTTP endpoint / terminal view) that observe
-        # scheduling without touching it — semantic output is
-        # byte-identical with the session on or off
+        # live telemetry rides alongside the sweep: an event log that
+        # observes scheduling without touching it — semantic output is
+        # byte-identical with it on or off
         telemetry = contextlib.nullcontext()
         if self.options.wants_telemetry:
-            from .obs.live import TelemetrySession
-
-            telemetry = TelemetrySession.from_options(
-                self.options,
+            telemetry = obs.events.session(
+                self.options.events_out,
                 run_id=journal.run_id if journal is not None
                 else (self.options.run_id or ""))
         try:
-            with telemetry as session:
-                if session is not None:
-                    session.bus.publish(
-                        obs.events.RUN_STARTED, key=session.run_id,
-                        run_id=session.run_id, stage=method,
+            with telemetry as bus:
+                if bus is not None:
+                    bus.publish(
+                        obs.events.RUN_STARTED, bus.run_id,
+                        run_id=bus.run_id, stage=method,
                         total=len(workloads), todo=len(todo),
                         backend=backend, jobs=width)
                     # workloads already memoised (journal resume or a
@@ -574,8 +551,7 @@ class NeedlePipeline:
                     # process's share
                     for w in workloads:
                         if w.name in memo:
-                            session.bus.publish(
-                                obs.events.RUN_RESUMED, key=w.name)
+                            bus.publish(obs.events.RUN_RESUMED, w.name)
                 with signal_scope:
                     if backend == "serial":
                         fresh = self._run_serial(
@@ -947,32 +923,10 @@ def _run_worker(method, workload, config, cache_root, collect: bool,
         _faults.uninstall()
 
 
-def _analyse_worker(
-    workload: Workload,
-    config: SystemConfig,
-    cache_root: Optional[str],
-    collect: bool = False,
-    trace_kernels: str = "rle",
-    no_sim_memo: bool = False,
-    plan: Optional[FaultPlan] = None,
-    attempt: int = 0,
-):
-    return _run_worker("analyse", workload, config, cache_root, collect,
-                       trace_kernels, no_sim_memo, plan, attempt)
-
-
-def _evaluate_worker(
-    workload: Workload,
-    config: SystemConfig,
-    cache_root: Optional[str],
-    collect: bool = False,
-    trace_kernels: str = "rle",
-    no_sim_memo: bool = False,
-    plan: Optional[FaultPlan] = None,
-    attempt: int = 0,
-):
-    return _run_worker("evaluate", workload, config, cache_root, collect,
-                       trace_kernels, no_sim_memo, plan, attempt)
+#: the pool task for each sweep kind: partials of a module-level
+#: function, so they pickle by reference
+_analyse_worker = functools.partial(_run_worker, "analyse")
+_evaluate_worker = functools.partial(_run_worker, "evaluate")
 
 
 __all__ = [

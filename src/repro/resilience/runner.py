@@ -215,7 +215,7 @@ def run_failsafe(
 
     ``heartbeat`` (seconds) turns on worker heartbeats where the
     backend supports them (preemptive pools): each worker reports its
-    running (task, phase, elapsed) on that period, surfaced as
+    running (task, elapsed) on that period, surfaced as
     ``worker_heartbeat`` events on the ambient event bus.  A worker
     silent for longer than ``stall_after`` seconds (default 5x the
     heartbeat period) is flagged once per attempt with a
@@ -339,8 +339,7 @@ def run_failsafe(
                 stalled.discard(ticket)  # a fresh beat clears the flag
                 bus.publish(
                     bus.WORKER_HEARTBEAT, t.key, worker=worker_name,
-                    task=t.key, phase=payload.get("phase", "run"),
-                    elapsed=payload.get("elapsed", 0.0))
+                    task=t.key, elapsed=payload.get("elapsed", 0.0))
         for ticket, started in running.items():
             t = pending.get(ticket)
             if t is None or ticket in stalled:

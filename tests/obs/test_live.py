@@ -1,30 +1,32 @@
-"""ProgressModel folding, atomic progress files, TelemetrySession."""
+"""Live progress folded from the event log, and the recording session.
+
+Every test here writes a real ``events.jsonl`` through a bus and reads
+it back with :class:`repro.obs.top.EventLog` — the same path ``repro
+top`` takes — so the fold is tested on the one durable record.
+"""
 
 import json
-import os
 import threading
 
+import pytest
+
 from repro.obs import events as ev
-from repro.obs.live import (
-    LiveAggregator,
-    ProgressModel,
-    TelemetrySession,
-    write_progress,
-)
+from repro.obs.top import EventLog
 
 
-def _feed(model, bus):
-    bus.subscribe(model.apply)
-    return bus
+def _log(tmp_path, run_id=""):
+    """A bus appending to ``events.jsonl`` and a reader of that file."""
+    path = str(tmp_path / "events.jsonl")
+    bus = ev.EventBus(run_id=run_id)
+    bus.attach_jsonl(path)
+    return bus, EventLog(path)
 
 
 # -- folding ------------------------------------------------------------------
 
 
-def test_model_folds_a_plain_run():
-    bus = ev.EventBus(run_id="r1")
-    model = ProgressModel()
-    _feed(model, bus)
+def test_model_folds_a_plain_run(tmp_path):
+    bus, log = _log(tmp_path, run_id="r1")
 
     bus.publish(ev.RUN_STARTED, "r1", run_id="r1", stage="evaluate",
                 total=3, todo=3, backend="thread", jobs=2)
@@ -34,7 +36,7 @@ def test_model_folds_a_plain_run():
     bus.publish(ev.TASK_FINISHED, "a", ok=True, attempts=1, worker="w0")
     bus.publish(ev.TASK_STARTED, "b", attempt=1)
 
-    snap = model.snapshot()
+    snap = log.poll()
     assert snap["run_id"] == "r1"
     assert snap["state"] == "running"
     assert snap["stage"] == "evaluate"
@@ -44,24 +46,22 @@ def test_model_folds_a_plain_run():
     bus.publish(ev.TASK_FINISHED, "b", ok=True, attempts=1)
     bus.publish(ev.TASK_STARTED, "c", attempt=1)
     bus.publish(ev.TASK_FINISHED, "c", ok=True, attempts=1)
-    bus.publish(ev.RUN_FINISHED, "r1", status="finished")
+    last = bus.publish(ev.RUN_FINISHED, "r1", status="finished")
 
-    snap = model.snapshot()
+    snap = log.poll()
     assert snap["state"] == "finished"
     assert snap["done"] == 3
     assert snap["queued"] == 0 and snap["running"] == []
-    assert snap["last_seq"] == bus.last_seq()
+    assert snap["last_seq"] == last.seq
 
 
-def test_resumed_workloads_count_as_cumulative_progress():
+def test_resumed_workloads_count_as_cumulative_progress(tmp_path):
     """A --resume run reports suite-wide progress, not just its share."""
-    bus = ev.EventBus(run_id="r2")
-    model = ProgressModel()
-    _feed(model, bus)
+    bus, log = _log(tmp_path, run_id="r2")
     bus.publish(ev.RUN_STARTED, "r2", run_id="r2", total=4, todo=2)
     bus.publish(ev.RUN_RESUMED, "a")
     bus.publish(ev.RUN_RESUMED, "b")
-    snap = model.snapshot()
+    snap = log.poll()
     assert snap["done"] == 2 and snap["resumed"] == 2
     # resumed completions say nothing about live throughput
     assert snap["rate_per_second"] is None
@@ -70,68 +70,60 @@ def test_resumed_workloads_count_as_cumulative_progress():
     bus.publish(ev.TASK_FINISHED, "c", ok=True)
     bus.publish(ev.TASK_STARTED, "d", attempt=1)
     bus.publish(ev.TASK_FINISHED, "d", ok=True)
-    snap = model.snapshot()
+    snap = log.poll()
     assert snap["done"] == 4 and snap["resumed"] == 2
 
 
-def test_retry_and_quarantine_bookkeeping():
-    bus = ev.EventBus()
-    model = ProgressModel()
-    _feed(model, bus)
+def test_retry_and_quarantine_bookkeeping(tmp_path):
+    bus, log = _log(tmp_path)
     bus.publish(ev.RUN_STARTED, "r", total=2, todo=2)
     bus.publish(ev.TASK_STARTED, "bad", attempt=1)
     bus.publish(ev.RETRY, "bad", kind="exception", attempt=1)
     bus.publish(ev.TASK_STARTED, "bad", attempt=2)
     bus.publish(ev.QUARANTINED, "bad", kind="exception", attempts=2)
-    snap = model.snapshot()
+    snap = log.poll()
     assert snap["retries"] == 1
     assert snap["quarantined"] == ["bad"]
     assert snap["running"] == []
 
 
-def test_heartbeats_and_stalls_shape_worker_table():
-    bus = ev.EventBus()
-    model = ProgressModel()
-    _feed(model, bus)
+def test_heartbeats_and_stalls_shape_worker_table(tmp_path):
+    bus, log = _log(tmp_path)
     bus.publish(ev.RUN_STARTED, "r", total=1, todo=1)
     bus.publish(ev.TASK_STARTED, "slow", attempt=1)
     bus.publish(ev.WORKER_HEARTBEAT, "slow", worker="proc-1",
-                task="slow", phase="simulate", elapsed=2.5)
-    snap = model.snapshot()
+                task="slow", elapsed=2.5)
+    snap = log.poll()
     (worker,) = snap["workers"]
     assert worker["worker"] == "proc-1"
-    assert worker["task"] == "slow" and worker["phase"] == "simulate"
+    assert worker["task"] == "slow"
     assert worker["stalled"] is False
     (running,) = snap["running"]
-    assert running["phase"] == "simulate"
+    assert running["worker"] == "proc-1"
 
     bus.publish(ev.WORKER_STALLED, "slow", worker="proc-1",
                 silent_for=9.0, attempt=1)
-    snap = model.snapshot()
+    snap = log.poll()
     assert snap["stalls"] == 1
     assert snap["workers"][0]["stalled"] is True
     # a fresh beat clears the stall flag
     bus.publish(ev.WORKER_HEARTBEAT, "slow", worker="proc-1",
-                task="slow", phase="simulate", elapsed=11.0)
-    assert model.snapshot()["workers"][0]["stalled"] is False
+                task="slow", elapsed=11.0)
+    assert log.poll()["workers"][0]["stalled"] is False
 
 
-def test_cache_hit_rate():
-    bus = ev.EventBus()
-    model = ProgressModel()
-    _feed(model, bus)
+def test_cache_hit_rate(tmp_path):
+    bus, log = _log(tmp_path)
     for _ in range(3):
         bus.publish(ev.CACHE_HIT, "profile")
     bus.publish(ev.CACHE_MISS, "evaluation")
-    cache = model.snapshot()["cache"]
+    cache = log.poll()["cache"]
     assert (cache["hits"], cache["misses"]) == (3, 1)
     assert cache["hit_rate"] == 0.75
 
 
-def test_model_is_thread_safe_under_concurrent_apply():
-    bus = ev.EventBus(capacity=10_000)
-    model = ProgressModel()
-    _feed(model, bus)
+def test_model_folds_a_log_written_by_concurrent_publishers(tmp_path):
+    bus, log = _log(tmp_path)
     bus.publish(ev.RUN_STARTED, "r", total=400, todo=400)
 
     def work(tid):
@@ -145,65 +137,45 @@ def test_model_is_thread_safe_under_concurrent_apply():
         t.start()
     for t in threads:
         t.join()
-    assert model.snapshot()["done"] == 400
-
-
-# -- progress file ------------------------------------------------------------
-
-
-def test_write_progress_is_atomic_and_leaves_no_temp(tmp_path):
-    path = tmp_path / "progress.json"
-    write_progress(str(path), {"state": "running", "done": 1})
-    write_progress(str(path), {"state": "finished", "done": 2})
-    assert json.loads(path.read_text())["done"] == 2
-    leftovers = [n for n in os.listdir(tmp_path) if n != "progress.json"]
-    assert leftovers == []
-
-
-def test_aggregator_persists_snapshots(tmp_path):
-    path = tmp_path / "progress.json"
-    bus = ev.EventBus(run_id="agg")
-    agg = LiveAggregator(bus, progress_path=str(path), write_interval=0.0)
-    bus.publish(ev.RUN_STARTED, "agg", run_id="agg", total=1, todo=1)
-    bus.publish(ev.TASK_STARTED, "only", attempt=1)
-    bus.publish(ev.TASK_FINISHED, "only", ok=True)
-    bus.publish(ev.RUN_FINISHED, "agg", status="finished")
-    agg.close()
-    snap = json.loads(path.read_text())
-    assert snap["state"] == "finished" and snap["done"] == 1
-    assert snap["run_id"] == "agg"
+    snap = log.poll()
+    assert snap["done"] == 400 and snap["running"] == []
+    assert snap["last_seq"] == 800
 
 
 # -- session ------------------------------------------------------------------
 
 
 def test_telemetry_session_lifecycle(tmp_path):
-    progress = tmp_path / "progress.json"
-    events = tmp_path / "events.jsonl"
-    session = TelemetrySession(run_id="s1", progress_out=str(progress),
-                               events_out=str(events))
-    with session:
-        assert ev.active() is session.bus
+    path = tmp_path / "events.jsonl"
+    with ev.session(str(path), run_id="s1") as bus:
+        assert ev.active() is bus and bus.run_id == "s1"
         ev.publish(ev.RUN_STARTED, "s1", run_id="s1", total=1, todo=1)
         ev.publish(ev.TASK_STARTED, "w", attempt=1)
         ev.publish(ev.TASK_FINISHED, "w", ok=True)
     assert ev.active() is None
-    snap = json.loads(progress.read_text())
+    snap = EventLog(str(path)).poll()
     assert snap["state"] == "finished" and snap["done"] == 1
-    kinds = [json.loads(line)["kind"] for line in events.read_text().splitlines()]
-    assert kinds[-1] == "run_finished"
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [e["seq"] for e in events] == [0, 1, 2, 3]
+    assert (events[-1]["kind"], events[-1]["key"]) == ("run_finished", "s1")
 
 
 def test_telemetry_session_marks_drain_and_abort(tmp_path):
     class FakeDrain(KeyboardInterrupt):
         pass
 
-    for exc_type, status in ((FakeDrain, "drained"), (ValueError, "aborted")):
-        path = tmp_path / ("p_%s.json" % status)
-        try:
-            with TelemetrySession(run_id="x", progress_out=str(path)):
-                raise exc_type("boom")
-        except exc_type:
-            pass
-        assert json.loads(path.read_text())["state"] == status
+    outer = ev.EventBus()
+    ev.install(outer)
+    try:
+        for exc_type, status in ((FakeDrain, "drained"),
+                                 (ValueError, "aborted")):
+            path = tmp_path / ("%s.jsonl" % status)
+            with pytest.raises(exc_type):
+                with ev.session(str(path), run_id="x"):
+                    ev.publish(ev.RUN_STARTED, "x", run_id="x", total=1)
+                    raise exc_type("boom")
+            assert EventLog(str(path)).poll()["state"] == status
+            assert ev.active() is outer  # the previous bus is restored
+    finally:
+        ev.uninstall(None)
     assert ev.active() is None

@@ -250,18 +250,33 @@ def test_cli_report_diff_missing_snapshot_is_clean(tmp_path):
     assert str(excinfo.value).startswith("error: cannot read snapshot")
 
 
-def test_cli_top_once_from_progress_file(tmp_path, capsys):
-    import json
+def test_cli_top_once_from_events_log(tmp_path, capsys):
+    from repro.obs import events as ev
 
-    path = tmp_path / "progress.json"
-    path.write_text(json.dumps({
-        "run_id": "r", "state": "finished", "total": 2, "done": 2,
-        "stage": "evaluate",
-    }))
+    path = tmp_path / "events.jsonl"
+    bus = ev.EventBus(run_id="r")
+    bus.attach_jsonl(str(path))
+    bus.publish(ev.RUN_STARTED, "r", run_id="r", stage="evaluate", total=2)
+    bus.publish(ev.RUN_RESUMED, "a")
+    bus.publish(ev.TASK_FINISHED, "b", ok=True)
+    bus.publish(ev.RUN_FINISHED, "r", status="finished")
+    bus.close()
     assert main(["top", str(path), "--once"]) == 0
     assert "2/2 (100%)" in capsys.readouterr().out
-    assert main(["top", str(tmp_path / "gone.json"), "--once"]) == 1
+    assert main(["top", str(tmp_path / "gone.jsonl"), "--once"]) == 1
     assert "repro top:" in capsys.readouterr().err
+
+
+def test_cli_telemetry_is_the_events_log_only(capsys):
+    import pytest
+
+    from repro.cli import build_parser
+
+    for flag in (["--serve-metrics", "9100"], ["--progress-out", "p.json"],
+                 ["--live"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["evaluate"] + flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_global_log_level(capsys):

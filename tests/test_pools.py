@@ -85,13 +85,6 @@ def test_env_var_steers_backend_selection(monkeypatch):
     assert pipe._execution_plan(4, 4) == ("process", 4)
 
 
-def test_jobs_kwarg_is_deprecated():
-    pipe = NeedlePipeline(options=PipelineOptions(no_cache=True))
-    with pytest.warns(DeprecationWarning, match="PipelineOptions"):
-        rows = pipe.evaluate_all(_suite(["dwt53"]), jobs=1)
-    assert rows[0].name == "dwt53"
-
-
 # -- cross-backend byte-identity -----------------------------------------------
 
 

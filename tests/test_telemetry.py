@@ -1,11 +1,11 @@
 """Live telemetry end to end: the wall-clock-only invariant.
 
-The tentpole contract: turning the event bus, heartbeats, progress
-snapshots and the metrics endpoint on must not perturb semantic output.
-Evaluation records and semantic metric snapshots are byte-identical
-with telemetry on or off, on every pool backend, healthy or under an
-injected chaos plan — and a resumed sweep reports *cumulative* progress
-(journal-restored workloads count as completed) in its progress file.
+The contract: turning the event log and worker heartbeats on must not
+perturb semantic output.  Evaluation records and semantic metric
+snapshots are byte-identical with telemetry on or off, on every pool
+backend, healthy or under an injected chaos plan — and a resumed sweep's
+log folds to *cumulative* progress (journal-restored workloads count as
+completed).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 from repro import obs
 from repro.obs import events as ev
 from repro.obs import export
+from repro.obs.top import load_progress, render_top
 from repro.options import PipelineOptions
 from repro.pipeline import NeedlePipeline
 from repro.resilience.faults import (
@@ -39,8 +40,8 @@ def _suite(names=SUBSET):
 def _sweep(pool, fault_plan=None, telemetry_dir=None, **extra):
     """(flattened rows, semantic JSON) with telemetry on or off.
 
-    ``telemetry_dir`` switches the full stack on: events JSONL,
-    progress file and fast heartbeats, exactly as the CLI flags would.
+    ``telemetry_dir`` switches telemetry on: the events JSONL and fast
+    heartbeats, exactly as the CLI flags would.
     """
     clear_profile_cache()
     obs.enable(reset=True)
@@ -49,7 +50,6 @@ def _sweep(pool, fault_plan=None, telemetry_dir=None, **extra):
     if telemetry_dir is not None:
         kwargs.update(
             events_out=os.path.join(str(telemetry_dir), "events.jsonl"),
-            progress_out=os.path.join(str(telemetry_dir), "progress.json"),
             heartbeat=0.05,
         )
     kwargs.update(extra)
@@ -70,8 +70,8 @@ def test_semantic_output_identical_with_telemetry_on(pool, tmp_path):
     live_rows, live_sem = _sweep(pool, telemetry_dir=tmp_path)
     assert live_rows == base_rows
     assert live_sem == base_sem
-    # the telemetry actually ran: a progress file reached a terminal state
-    progress = json.loads((tmp_path / "progress.json").read_text())
+    # the telemetry actually ran: the log folds to a terminal state
+    progress = load_progress(str(tmp_path / "events.jsonl"))
     assert progress["state"] == "finished"
     assert progress["done"] == len(SUBSET) == progress["total"]
 
@@ -87,7 +87,7 @@ def test_semantic_output_identical_under_crash_plan(pool, tmp_path):
                                  telemetry_dir=tmp_path)
     assert live_rows == base_rows
     assert live_sem == base_sem
-    progress = json.loads((tmp_path / "progress.json").read_text())
+    progress = load_progress(str(tmp_path / "events.jsonl"))
     assert progress["quarantined"] == ["164.gzip"]
     kinds = {json.loads(line)["kind"]
              for line in (tmp_path / "events.jsonl").read_text().splitlines()}
@@ -132,7 +132,7 @@ def test_sweep_leaves_no_ambient_bus_behind(tmp_path):
 
 
 def test_resumed_sweep_reports_cumulative_progress(tmp_path):
-    """Journal-restored workloads count as completed in /progress.
+    """Journal-restored workloads count as completed in the folded log.
 
     First pass: a journaled sweep in which one workload is quarantined
     by an always-crash plan (so the journal holds the other two).
@@ -150,21 +150,20 @@ def test_resumed_sweep_reports_cumulative_progress(tmp_path):
                             fault_plan=plan)
     NeedlePipeline(options=first).evaluate_all(_suite())
 
-    progress_path = tmp_path / "progress.json"
+    events_path = tmp_path / "events.jsonl"
     clear_profile_cache()
     second = PipelineOptions(no_cache=True, jobs=2, pool="thread", retries=0,
                              journal_dir=str(journal_dir), resume="tele",
-                             progress_out=str(progress_path))
+                             events_out=str(events_path))
     rows = NeedlePipeline(options=second).evaluate_all(_suite())
     assert not any(hasattr(r, "kind") for r in rows)  # all healthy now
 
-    progress = json.loads(progress_path.read_text())
+    progress = load_progress(str(events_path))
+    assert progress["run_id"] == "tele"
     assert progress["state"] == "finished"
     assert progress["total"] == len(SUBSET)
     assert progress["done"] == len(SUBSET)   # cumulative, not this-run-only
     assert progress["resumed"] == len(SUBSET) - 1
-
-    from repro.obs.top import render_top
 
     screen = render_top(progress)
     assert "3/3 (100%)" in screen
